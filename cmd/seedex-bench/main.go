@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	serveDur := fs.Duration("serve-dur", time.Second, "measurement window per concurrency point for -fig serve")
 	serveConc := fs.String("serve-conc", "4,16,32,64", "comma-separated client concurrencies for -fig serve")
 	serveJobs := fs.Int("serve-jobs", 8, "jobs per request for -fig serve")
-	serveStrict := fs.Bool("serve-strict", false, "serve ModeStrict (bit-identical checks) instead of the paper workflow for -fig serve")
+	servePaper := fs.Bool("serve-paper", false, "serve the paper workflow (ModePaper, local result only) instead of ModeStrict (bit-identical to full band) for -fig serve")
 	serveBatch := fs.Int("serve-batch", 64, "micro-batch size for the batched -fig serve configuration")
 	serveFlush := fs.Duration("serve-flush", 100*time.Microsecond, "micro-batch flush interval for -fig serve")
 	serveTrace := fs.Int("serve-trace", 100, "trace sample rate for the batched-traced -fig serve configuration (1 in N requests; negative skips the traced configuration)")
@@ -240,7 +240,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rep := bench.ServeBench(wsrv, bench.ServeBenchConfig{
 			MaxBatch:       *serveBatch,
 			Flush:          *serveFlush,
-			Strict:         *serveStrict,
+			Paper:          *servePaper,
 			JobsPerRequest: *serveJobs,
 			Concurrency:    concs,
 			Duration:       *serveDur,

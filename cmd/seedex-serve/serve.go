@@ -51,7 +51,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	addr := fs.String("addr", ":8844", "listen address")
 	extName := fs.String("extender", "seedex", "extension engine: seedex | fullband | banded")
 	band := fs.Int("band", 20, "one-sided band (SeedEx and banded engines)")
-	mode := fs.String("mode", "strict", "seedex check workflow: strict (bit-identical to full-band) | paper (threshold passes skip the edit machine)")
+	mode := fs.String("mode", "strict", "seedex check workflow: strict (bit-identical to full-band, O(n) per job on top of the kernel) | paper (the paper's workflow; guarantees the local result only)")
 	maxBatch := fs.Int("max-batch", 64, "flush a micro-batch at this many jobs (1 disables coalescing)")
 	flush := fs.Duration("flush", 200*time.Microsecond, "flush a micro-batch this long after its first job arrives (0 = never wait: each batch takes whatever is queued)")
 	queueCap := fs.Int("queue", 1024, "admission queue bound; overflow answers 429")

@@ -38,7 +38,9 @@ func main() {
 			fmt.Printf("  E-score check: score_maxE=%d (live crossing: %v)\n", rep.ScoreMaxE, rep.ELive)
 		}
 		if rep.EditRan {
-			fmt.Printf("  edit-distance check: score_ed=%d\n", rep.ScoreEd)
+			// In strict mode ScoreEd is the closed-form continuation bound
+			// over the below-band region, not the paper's swept score_ed.
+			fmt.Printf("  edit-distance check: continuation bound=%d\n", rep.ScoreEd)
 		}
 		verdict := "optimality PROVEN — no path outside the band can score higher"
 		if !rep.Pass {

@@ -36,7 +36,8 @@ func Workload100(refLen, nReads int, seed int64) (*Workload, error) {
 // ExtendKernelResult is one kernel's measurement over the workload.
 type ExtendKernelResult struct {
 	// Kernel names the code path: full/seed, full/workspace, banded/seed,
-	// banded/workspace, checked/pooled, checked/workspace.
+	// banded/workspace, checked/pooled, checked/workspace, banded/batch,
+	// full/batch, checked/batch.
 	Kernel string `json:"kernel"`
 	// NsPerOp is wall time per extension.
 	NsPerOp float64 `json:"ns_per_op"`
@@ -224,19 +225,22 @@ func measureKernel(name string, probs []Problem, rounds int, fn func(Problem) in
 // call — the shape of one accelerator DMA batch.
 const extendBatchSize = 256
 
-// measureBatch times a batch kernel over the problems in chunks of
-// extendBatchSize, reporting per-extension figures comparable with
-// measureKernel's rows. fn processes jobs[lo:hi] and returns the DP cells
-// it computed.
-func measureBatch(name string, probs []Problem, rounds int, fn func(jobs []align.Job) int64) ExtendKernelResult {
+// checkedBatchSize is the chunk of the checked/batch row: the served
+// micro-batch (seedex-serve's default -max-batch).
+const checkedBatchSize = 64
+
+// measureBatch times a batch kernel over the problems in chunks of size
+// jobs, reporting per-extension figures comparable with measureKernel's
+// rows. fn processes jobs[lo:hi] and returns the DP cells it computed.
+func measureBatch(name string, probs []Problem, rounds, size int, fn func(jobs []align.Job) int64) ExtendKernelResult {
 	jobs := make([]align.Job, len(probs))
 	for i, p := range probs {
 		jobs[i] = align.Job{Q: p.Q, T: p.T, H0: p.H0}
 	}
 	sweep := func() int64 {
 		var cells int64
-		for lo := 0; lo < len(jobs); lo += extendBatchSize {
-			hi := lo + extendBatchSize
+		for lo := 0; lo < len(jobs); lo += size {
+			hi := lo + size
 			if hi > len(jobs) {
 				hi = len(jobs)
 			}
@@ -320,7 +324,7 @@ func ExtendBench(w *Workload, band, rounds int) ExtendBenchReport {
 	// accelerator's batch datapath.
 	bres := make([]align.ExtendResult, extendBatchSize)
 	rep.Kernels = append(rep.Kernels,
-		measureBatch("banded/batch", probs, rounds, func(jobs []align.Job) int64 {
+		measureBatch("banded/batch", probs, rounds, extendBatchSize, func(jobs []align.Job) int64 {
 			align.ExtendBandedBatchWS(ws, jobs, sc, band, bres[:len(jobs)], nil)
 			var cells int64
 			for i := range jobs {
@@ -328,8 +332,18 @@ func ExtendBench(w *Workload, band, rounds int) ExtendBenchReport {
 			}
 			return cells
 		}),
-		measureBatch("full/batch", probs, rounds, func(jobs []align.Job) int64 {
+		measureBatch("full/batch", probs, rounds, extendBatchSize, func(jobs []align.Job) int64 {
 			align.ExtendBatchFullWS(ws, jobs, sc, bres[:len(jobs)])
+			var cells int64
+			for i := range jobs {
+				cells += bres[i].Cells
+			}
+			return cells
+		}),
+		// The served strict path: packed speculation, checks, and host
+		// reruns for the jobs whose checks fail.
+		measureBatch("checked/batch", probs, rounds, checkedBatchSize, func(jobs []align.Job) int64 {
+			chk.ExtendJobs(jobs, bres[:len(jobs)])
 			var cells int64
 			for i := range jobs {
 				cells += bres[i].Cells

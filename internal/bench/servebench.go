@@ -35,12 +35,11 @@ type ServeBenchConfig struct {
 	// runs MaxBatch=1). Defaults: 64 jobs, 100µs.
 	MaxBatch int
 	Flush    time.Duration
-	// Strict selects ModeStrict for the served checker (bit-identical to
-	// full-band, but its unconditional global certificate dominates the
-	// per-job cost). The default is the paper's workflow (ModePaper),
-	// where threshold passes skip the edit machine and the packed
-	// speculation kernel carries most of the compute.
-	Strict bool
+	// Paper serves the paper's workflow (ModePaper, which guarantees
+	// only the local result) instead of the default ModeStrict, which is
+	// bit-identical to full band and costs O(n) per job on top of the
+	// packed speculation kernel.
+	Paper bool
 	// JobsPerRequest is the client request size (default 8: each batch
 	// coalesces jobs from several requests to fill SWAR lanes).
 	JobsPerRequest int
@@ -321,7 +320,7 @@ func ServeBench(w *Workload, cfg ServeBenchConfig) ServeBenchReport {
 		Band:           cfg.Band,
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
 		NumCPU:         runtime.NumCPU(),
-		Mode:           "paper",
+		Mode:           "strict",
 		MaxBatch:       cfg.MaxBatch,
 		FlushUs:        float64(cfg.Flush.Nanoseconds()) / 1e3,
 		JobsPerRequest: cfg.JobsPerRequest,
@@ -330,8 +329,8 @@ func ServeBench(w *Workload, cfg ServeBenchConfig) ServeBenchReport {
 	if len(w.Reads) > 0 {
 		rep.ReadLen = len(w.Reads[0].Seq)
 	}
-	if cfg.Strict {
-		rep.Mode = "strict"
+	if cfg.Paper {
+		rep.Mode = "paper"
 	}
 	if cfg.ChaosRate > 0 {
 		// The fault-injected device engine only runs the strict workflow.
@@ -464,7 +463,7 @@ func runServePoint(cfg ServeBenchConfig, bcfg server.BatcherConfig, bodies [][]b
 			return driver.NewEngine(dcfg)
 		}
 		se := core.New(cfg.Band)
-		if !cfg.Strict {
+		if cfg.Paper {
 			se.Config.Mode = core.ModePaper
 		}
 		return se

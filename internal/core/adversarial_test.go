@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -118,11 +119,18 @@ func FuzzCheckNeverCertifiesWrongScore(f *testing.F) {
 	})
 }
 
-// TestAdversarialCorpus runs a broad deterministic corpus through both
-// fuzz bodies, so plain `go test` exercises the adversarial coverage
-// without the fuzzing engine: many bands, h0 corrupted up and down by
-// every interesting magnitude, degenerate and garbage sequences.
-func TestAdversarialCorpus(t *testing.T) {
+// advCase is one strict-mode check problem of the adversarial corpus.
+type advCase struct {
+	Band  int
+	Q, T  []byte
+	H0    int
+	Label string
+}
+
+// adversarialCorpus is the deterministic corpus behind both fuzz bodies:
+// many bands, h0 corrupted up and down by every interesting magnitude.
+func adversarialCorpus() []advCase {
+	var cases []advCase
 	deltas := []int{-100000, -500, -40, -1, 0, 1, 40, 500, 100000}
 	for _, band := range []int{1, 2, 5, 12, 24} {
 		for _, delta := range deltas {
@@ -141,19 +149,30 @@ func TestAdversarialCorpus(t *testing.T) {
 				if h0 < 0 {
 					h0 = 0
 				}
-				chk := advChecker(band)
-				res, rep := chk.Check(q, tgt, h0)
-				want := align.Extend(q, tgt, h0, chk.Config.Scoring)
-				if rep.Pass {
-					if res.Local != want.Local || res.Global != want.Global ||
-						res.LocalT != want.LocalT || res.LocalQ != want.LocalQ || res.GlobalT != want.GlobalT {
-						t.Fatalf("band=%d delta=%d seed=%d: certified %+v != oracle %+v (%v)",
-							band, delta, seed, res, want, rep.Outcome)
-					}
-				} else if got := chk.Rerun(q, tgt, h0); got != want {
-					t.Fatalf("band=%d delta=%d seed=%d: rerun %+v != oracle %+v", band, delta, seed, got, want)
-				}
+				cases = append(cases, advCase{Band: band, Q: q, T: tgt, H0: h0,
+					Label: fmt.Sprintf("band=%d delta=%d seed=%d", band, delta, seed)})
 			}
+		}
+	}
+	return cases
+}
+
+// TestAdversarialCorpus runs a broad deterministic corpus through both
+// fuzz bodies, so plain `go test` exercises the adversarial coverage
+// without the fuzzing engine: the adversarial corpus, then degenerate and
+// garbage sequences.
+func TestAdversarialCorpus(t *testing.T) {
+	for _, c := range adversarialCorpus() {
+		chk := advChecker(c.Band)
+		res, rep := chk.Check(c.Q, c.T, c.H0)
+		want := align.Extend(c.Q, c.T, c.H0, chk.Config.Scoring)
+		if rep.Pass {
+			if res.Local != want.Local || res.Global != want.Global ||
+				res.LocalT != want.LocalT || res.LocalQ != want.LocalQ || res.GlobalT != want.GlobalT {
+				t.Fatalf("%s: certified %+v != oracle %+v (%v)", c.Label, res, want, rep.Outcome)
+			}
+		} else if got := chk.Rerun(c.Q, c.T, c.H0); got != want {
+			t.Fatalf("%s: rerun %+v != oracle %+v", c.Label, got, want)
 		}
 	}
 	// Garbage bytes and degenerate shapes through the rerun path.

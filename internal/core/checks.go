@@ -27,8 +27,10 @@
 // a continuation-aware region bound (covering paths that dip below the
 // band and re-enter it) and a global-endpoint guard, and guarantees that
 // the full extension result — local and global scores *and* positions —
-// is bit-identical to a full-band run. See DESIGN.md for the analysis of
-// why the extra conditions are needed for the stronger guarantee.
+// is bit-identical to a full-band run. The region bound has a closed form
+// (regionCont), so ModeStrict costs O(n) on top of the kernel and never
+// sweeps. See DESIGN.md for the analysis of why the extra conditions are
+// needed for the stronger guarantee.
 package core
 
 import (
@@ -65,9 +67,10 @@ const (
 	ModePaper Mode = iota
 	// ModeStrict additionally covers band-re-entering paths and the
 	// global (right-edge) endpoint, guaranteeing the full result is
-	// bit-identical to a full-band run. The edit machine is seeded with
-	// the exact column-0 arrival bounds and the captured boundary
-	// E-scores.
+	// bit-identical to a full-band run. Its region bound is the
+	// continuation maximum of the exact edit sweep (seeded with the
+	// column-0 arrival bounds and the captured boundary E-scores),
+	// evaluated in closed form by regionCont.
 	ModeStrict
 )
 
@@ -181,7 +184,10 @@ type Report struct {
 	ELive     bool // a live boundary crossing existed
 	ERan      bool // workflow reached the E-score check
 	EditRan   bool // workflow reached the edit-distance check
-	ScoreEd   int  // edit machine score (valid only when EditRan)
+	// ScoreEd is the edit-distance check's bound (valid only when
+	// EditRan): the corner-seeded sweep's score_ed in ModePaper, the
+	// continuation bound regionCont compared in ModeStrict.
+	ScoreEd int
 	// ThresholdOnlyPass is true when thresholding alone proved optimality
 	// (the "Thresholding" series of Figure 14).
 	ThresholdOnlyPass bool
@@ -228,7 +234,7 @@ func check(ems *editmachine.Workspace, query, target []byte, h0 int, res align.E
 	case res.Local > rep.Th.S2:
 		rep.Outcome, rep.Pass, rep.ThresholdOnlyPass = PassS2, true, true
 		if cfg.Mode == ModeStrict {
-			return strictGlobal(ems, query, target, h0, res, bd, cfg, rep, nil)
+			return strictGlobal(n, m, h0, res, bd, cfg, rep)
 		}
 		return rep
 	}
@@ -243,7 +249,6 @@ func check(ems *editmachine.Workspace, query, target []byte, h0 int, res align.E
 	}
 
 	rep.EditRan = true
-	rx := editmachine.RelaxedFor(sc)
 	switch cfg.Mode {
 	case ModePaper:
 		sw := editmachine.SweepCornerWS(ems, query, target, w, rep.Th.S1, editmachine.CanonicalRelaxed)
@@ -257,37 +262,57 @@ func check(ems *editmachine.Workspace, query, target []byte, h0 int, res align.E
 		rep.Outcome, rep.Pass = PassChecks, true
 		return rep
 	default: // ModeStrict
-		sw := editmachine.SweepExactWS(ems, query, target, w, h0, bd.E, sc, rx)
-		if !sw.Empty {
-			rep.ScoreEd = sw.Score
+		cont, empty := regionCont(n, m, w, h0, bd.E, sc)
+		if !empty {
+			rep.ScoreEd = cont
 			// The continuation-aware bound also covers paths that dip
 			// below the band and re-enter it before ending.
-			if sw.ScorePlusCont >= res.Local {
+			if cont >= res.Local {
 				rep.Outcome = FailEdit
 				return rep
 			}
 		}
 		rep.Outcome, rep.Pass = PassChecks, true
-		return strictGlobal(ems, query, target, h0, res, bd, cfg, rep, &sw)
+		return strictGlobal(n, m, h0, res, bd, cfg, rep)
 	}
+}
+
+// regionCont is ModeStrict's bound on every path that enters the
+// below-band region: the largest score + (n−j)·Match over the region's
+// cells under the relaxed scoring, i.e. the ScorePlusCont of the exact
+// edit sweep (editmachine.SweepExact) — in O(n) instead of the sweep's
+// O(n·m). No relaxed move raises score + (n−j)·Match: a diagonal gains at
+// most Match and advances j, a deletion costs Del >= 0 and keeps j, an
+// insertion costs nothing and advances j. Every seeded cell holds at
+// least its seed, so the maximum is the best seed's continuation: the
+// column-0 arrival h0 − go − i·ge at the region's first row i = w+1, or a
+// live boundary E-score E[j] entering at (j+w+1, j). empty reports a
+// region with no cells (the band reaches the last target row).
+// DESIGN.md §4 has the derivation.
+func regionCont(n, m, w, h0 int, e []int, sc align.Scoring) (cont int, empty bool) {
+	if w < 0 || m <= w {
+		return 0, true
+	}
+	cont = h0 - sc.GapOpen - (w+1)*sc.GapExtend + n*sc.Match
+	for j := 1; j <= min(n, m-w-1, len(e)-1); j++ {
+		if e[j] > 0 {
+			cont = max(cont, e[j]+(n-j)*sc.Match)
+		}
+	}
+	return cont, false
 }
 
 // strictGlobal verifies the global (right-edge) endpoint in ModeStrict:
 // every path that ever leaves the band must be provably unable to beat the
 // banded global score at the right edge.
-func strictGlobal(ems *editmachine.Workspace, query, target []byte, h0 int, res align.ExtendResult, bd align.BandBoundary, cfg Config, rep Report, sweep *editmachine.RegionResult) Report {
-	n := len(query)
+func strictGlobal(n, m, h0 int, res align.ExtendResult, bd align.BandBoundary, cfg Config, rep Report) Report {
 	sc := cfg.Scoring
 	w := cfg.Band
 
 	// Below-band side: continuation-aware region bound.
 	below := 0
-	if sweep == nil {
-		sw := editmachine.SweepExactWS(ems, query, target, w, h0, bd.E, sc, editmachine.RelaxedFor(sc))
-		sweep = &sw
-	}
-	if !sweep.Empty && sweep.ScorePlusCont > 0 {
-		below = sweep.ScorePlusCont
+	if cont, empty := regionCont(n, m, w, h0, bd.E, sc); !empty && cont > 0 {
+		below = cont
 	}
 	// Above-band side: any path crossing the upper boundary spent at
 	// least a (w+1)-insertion gap and can match at most the remaining

@@ -347,3 +347,32 @@ func TestEngineExtenderEquivalence(t *testing.T) {
 		t.Fatal("CheckStats does not expose the device stats")
 	}
 }
+
+// TestEngineBatchDuplicateTags: the alignment service tags each job with
+// its index inside its own request, so a coalesced micro-batch carries
+// repeated tags. ExtendBatchInto must still answer every request at its
+// own position, bit-identical to full band, with the caller's tag echoed.
+func TestEngineBatchDuplicateTags(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TimeScale = 0.01
+	eng := NewEngine(cfg)
+	sess, ok := eng.Session().(interface {
+		ExtendBatchInto([]Request, []Response) []Response
+	})
+	if !ok {
+		t.Fatal("engine session has no ExtendBatchInto")
+	}
+	reqs := makeRequests(64, 21)
+	for i := range reqs {
+		reqs[i].Tag = i % 8 // eight 8-job "requests" coalesced into one batch
+	}
+	out := sess.ExtendBatchInto(reqs, nil)
+	for i, r := range reqs {
+		want := align.Extend(r.Q, r.T, r.H0, cfg.Scoring)
+		got := out[i]
+		if got.Tag != r.Tag || got.Res.Local != want.Local || got.Res.LocalT != want.LocalT ||
+			got.Res.LocalQ != want.LocalQ || got.Res.Global != want.Global || got.Res.GlobalT != want.GlobalT {
+			t.Fatalf("slot %d (tag %d): served tag %d %+v, full band %+v", i, r.Tag, got.Tag, got.Res, want)
+		}
+	}
+}

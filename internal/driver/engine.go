@@ -98,7 +98,7 @@ func (es *engineSession) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) 
 	for i, j := range jobs {
 		es.reqs[i] = Request{Q: j.Q, T: j.T, H0: j.H0, Tag: i}
 	}
-	es.out = es.ExtendBatchInto(es.reqs, es.out)
+	es.out = es.run(es.reqs, es.out)
 	for i := range es.out {
 		dst[i] = es.out[i].Res
 	}
@@ -110,7 +110,29 @@ func (es *engineSession) ExtendJobs(jobs []align.Job, dst []align.ExtendResult) 
 // request order, reusing dst when it is large enough. The alignment
 // service duck-types this method so its workers see verdicts from
 // device-backed engines the same way they do from software checkers.
+// The caller's tags need not be unique: the service tags each job with
+// its index inside its own request, and one micro-batch coalesces
+// several requests. Integrity validation matches device responses to
+// requests by tag, so the batch travels under positional tags and the
+// caller's tags are restored on the way out.
 func (es *engineSession) ExtendBatchInto(reqs []Request, dst []Response) []Response {
+	if cap(es.reqs) < len(reqs) {
+		es.reqs = make([]Request, len(reqs))
+	}
+	es.reqs = es.reqs[:len(reqs)]
+	for i, r := range reqs {
+		r.Tag = i
+		es.reqs[i] = r
+	}
+	dst = es.run(es.reqs, dst)
+	for i := range dst {
+		dst[i].Tag = reqs[i].Tag
+	}
+	return dst
+}
+
+// run drives one batch whose tags are the request positions.
+func (es *engineSession) run(reqs []Request, dst []Response) []Response {
 	if cap(dst) < len(reqs) {
 		dst = make([]Response, len(reqs))
 	}

@@ -110,13 +110,16 @@ func SweepCorner(query, target []byte, w, init int, rx Relaxed) RegionResult {
 // of the band (boundaryE, as captured by align.ExtendBanded). The result
 // then upper-bounds *every* affine path that ever enters the region —
 // including paths that re-enter the band — which is what the strict
-// checking mode needs for bit-equivalence of both the local and global
-// endpoints.
-// It draws scratch from a shared pool; hot callers should hold a Workspace
-// and use SweepExactWS.
+// checking mode's region bound rests on. The strict checker itself never
+// sweeps: the one sweep output it reads, ScorePlusCont, has a closed form
+// (see core.regionCont and DESIGN.md §4). SweepExact remains as that closed
+// form's test oracle and for the edit-seeding ablation. It draws scratch
+// from a shared pool.
 func SweepExact(query, target []byte, w, h0 int, boundaryE []int, sc align.Scoring, rx Relaxed) RegionResult {
 	ws := wsPool.Get().(*Workspace)
-	res := SweepExactWS(ws, query, target, w, h0, boundaryE, sc, rx)
+	res := sweepWS(ws, query, target, w, rx, func(i int) int {
+		return h0 - sc.GapOpen - i*sc.GapExtend
+	}, boundaryE)
 	wsPool.Put(ws)
 	return res
 }

@@ -1,10 +1,6 @@
 package editmachine
 
-import (
-	"sync"
-
-	"seedex/internal/align"
-)
+import "sync"
 
 // Workspace owns the sweep's single DP row so that repeated sweeps on one
 // goroutine are allocation-free. The row only grows; it is never shrunk or
@@ -28,9 +24,9 @@ func (ws *Workspace) rowBuf(n int) []int {
 	return row
 }
 
-// wsPool backs the drop-in SweepCorner/SweepExact wrappers. Long-lived
-// checking goroutines should hold their own Workspace and call the WS
-// entry points directly.
+// wsPool backs the pooled SweepCorner/SweepExact entry points. Long-lived
+// checking goroutines should hold their own Workspace and call
+// SweepCornerWS directly.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
 // SweepCornerWS is SweepCorner with caller-owned scratch; allocation-free
@@ -42,12 +38,4 @@ func SweepCornerWS(ws *Workspace, query, target []byte, w, init int, rx Relaxed)
 		}
 		return negInf
 	}, nil)
-}
-
-// SweepExactWS is SweepExact with caller-owned scratch.
-func SweepExactWS(ws *Workspace, query, target []byte, w, h0 int, boundaryE []int, sc align.Scoring, rx Relaxed) RegionResult {
-	col0 := func(i int) int {
-		return h0 - sc.GapOpen - i*sc.GapExtend
-	}
-	return sweepWS(ws, query, target, w, rx, col0, boundaryE)
 }

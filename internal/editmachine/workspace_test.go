@@ -15,12 +15,18 @@ func wsSeq(rng *rand.Rand, n int) []byte {
 	return s
 }
 
-// TestSweepWSEquivalence: the workspace entry points and the pooled
-// wrappers must agree field-for-field across random regions.
+// TestSweepWSEquivalence: the workspace and pooled corner sweeps must
+// agree field-for-field across random regions, and — with no live
+// boundary crossing and ge == Del — the exact sweep is the corner sweep
+// seeded with the first region row's arrival bound h0 − go − (w+1)·ge
+// (both then decay column 0 by one per row).
 func TestSweepWSEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	sc := align.DefaultScoring()
 	rx := RelaxedFor(sc)
+	if sc.GapExtend != rx.Del {
+		t.Fatalf("default scoring ge %d != relaxed del %d", sc.GapExtend, rx.Del)
+	}
 	ws := NewWorkspace()
 	for iter := 0; iter < 800; iter++ {
 		q := wsSeq(rng, 1+rng.Intn(90))
@@ -30,14 +36,10 @@ func TestSweepWSEquivalence(t *testing.T) {
 		if got, want := SweepCornerWS(ws, q, tg, w, h0, rx), SweepCorner(q, tg, w, h0, rx); got != want {
 			t.Fatalf("iter %d corner: ws %+v != pooled %+v", iter, got, want)
 		}
-		boundary := make([]int, len(q)+1)
-		for j := range boundary {
-			if rng.Intn(3) == 0 {
-				boundary[j] = rng.Intn(40)
-			}
-		}
-		if got, want := SweepExactWS(ws, q, tg, w, h0, boundary, sc, rx), SweepExact(q, tg, w, h0, boundary, sc, rx); got != want {
-			t.Fatalf("iter %d exact: ws %+v != pooled %+v", iter, got, want)
+		boundary := make([]int, len(q)+1) // all dead
+		init := h0 - sc.GapOpen - (w+1)*sc.GapExtend
+		if got, want := SweepExact(q, tg, w, h0, boundary, sc, rx), SweepCornerWS(ws, q, tg, w, init, rx); got != want {
+			t.Fatalf("iter %d exact: %+v != corner at the arrival bound %+v", iter, got, want)
 		}
 	}
 }
@@ -55,12 +57,7 @@ func TestSweepZeroAllocs(t *testing.T) {
 		boundary[j] = rng.Intn(30)
 	}
 	ws := NewWorkspace()
-	SweepExactWS(ws, q, tg, 10, 40, boundary, sc, rx) // warm the row
-	if n := testing.AllocsPerRun(200, func() {
-		SweepExactWS(ws, q, tg, 10, 40, boundary, sc, rx)
-	}); n != 0 {
-		t.Fatalf("SweepExactWS allocates %.1f allocs/op, want 0", n)
-	}
+	SweepCornerWS(ws, q, tg, 10, 40, rx) // warm the row
 	if n := testing.AllocsPerRun(200, func() {
 		SweepCornerWS(ws, q, tg, 10, 40, rx)
 	}); n != 0 {

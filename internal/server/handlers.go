@@ -336,6 +336,12 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 	// Bound the stream like the batch endpoints; hitting the cap surfaces
 	// as a decode error on the trailing error line.
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	// Results are written while jobs are still being read. An HTTP/1.1
+	// server otherwise stops reading the request body once the response
+	// starts, silently truncating long streams. The call only fails on
+	// writers that cannot switch, such as HTTP/2's, which is full duplex
+	// already.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	out := bufio.NewWriter(w)
 	defer out.Flush()

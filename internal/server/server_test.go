@@ -270,6 +270,55 @@ func TestExtendStream(t *testing.T) {
 	}
 }
 
+// TestExtendStreamLong: a stream far longer than the stream window must
+// come back whole — one result per input line, in input order, with the
+// kernel's scores and no error line. HTTP/1.1 servers stop reading a
+// request body once the response starts unless the handler enables full
+// duplex, which once truncated long streams silently.
+func TestExtendStreamLong(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	jobs := testProblems(2000, 60, 17)
+	var in bytes.Buffer
+	enc := json.NewEncoder(&in)
+	for _, j := range jobs {
+		enc.Encode(j)
+	}
+	resp, err := http.Post(ts.URL+"/v1/extend/stream", "application/x-ndjson", &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var got []ExtendResult
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var line struct {
+			ExtendResult
+			Error string `json:"error"`
+		}
+		if err := dec.Decode(&line); err != nil {
+			break
+		}
+		if line.Error != "" {
+			t.Fatalf("error line after %d results: %s", len(got), line.Error)
+		}
+		got = append(got, line.ExtendResult)
+	}
+	if len(got) != len(jobs) {
+		t.Fatalf("stream returned %d results for %d jobs", len(got), len(jobs))
+	}
+	sc := align.DefaultScoring()
+	for i, j := range jobs {
+		want := align.Extend(genome.Encode(j.Query), genome.Encode(j.Target), j.H0, sc)
+		if got[i].Local != want.Local || got[i].LocalT != want.LocalT || got[i].LocalQ != want.LocalQ ||
+			got[i].Global != want.Global || got[i].GlobalT != want.GlobalT {
+			t.Fatalf("line %d: served %+v, kernel %+v", i, got[i], want)
+		}
+	}
+}
+
 // TestMapEndpoint proves /v1/map serves exactly the records the batch
 // pipeline produces for the same reads.
 func TestMapEndpoint(t *testing.T) {
