@@ -7,9 +7,15 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: check vet build test race chaos obs-smoke flight-smoke index-smoke bench bench-extend bench-regression serve-bench bin
+.PHONY: check fmt vet build test race chaos obs-smoke flight-smoke index-smoke bench bench-extend bench-regression serve-bench bin
 
-check: vet build test race
+check: fmt vet build test race
+
+# Formatting gate: fails, listing the files, when any tracked Go file is
+# not gofmt-clean.
+fmt:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

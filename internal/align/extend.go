@@ -63,6 +63,23 @@ type BatchExtender interface {
 	ExtendJobs(jobs []Job, dst []ExtendResult) []ExtendResult
 }
 
+// ExtendJobsVia extends jobs through ext's batch path when it has one, or
+// one by one otherwise (same results either way), reusing dst's backing
+// array when it is large enough.
+func ExtendJobsVia(ext Extender, jobs []Job, dst []ExtendResult) []ExtendResult {
+	if be, ok := ext.(BatchExtender); ok {
+		return be.ExtendJobs(jobs, dst)
+	}
+	if cap(dst) < len(jobs) {
+		dst = make([]ExtendResult, len(jobs))
+	}
+	dst = dst[:len(jobs)]
+	for i := range jobs {
+		dst[i] = ext.Extend(jobs[i].Q, jobs[i].T, jobs[i].H0)
+	}
+	return dst
+}
+
 // SessionExtender is an Extender that can mint per-goroutine sessions: a
 // Session shares the parent's configuration and aggregate statistics but
 // owns its own scratch memory, so long-lived workers (pipeline goroutines,
@@ -92,14 +109,6 @@ func Extend(query, target []byte, h0 int, sc Scoring) ExtendResult {
 	return r
 }
 
-// ExtendOpts is Extend with explicit Options.
-func ExtendOpts(query, target []byte, h0 int, sc Scoring, opts Options) ExtendResult {
-	ws := GetWorkspace()
-	r, _ := extendCoreWS(ws, query, target, h0, sc, -1, opts, nil)
-	PutWorkspace(ws)
-	return r
-}
-
 // ExtendBanded runs the kernel restricted to the band |i-j| <= w and
 // additionally captures the E-scores crossing the band's lower boundary
 // (needed by the SeedEx optimality checks). Out-of-band neighbours are
@@ -107,13 +116,8 @@ func ExtendOpts(query, target []byte, h0 int, sc Scoring, opts Options) ExtendRe
 // must outlive the pooled workspace); hot callers should hold a Workspace
 // and use ExtendBandedWS, whose boundary aliases workspace memory.
 func ExtendBanded(query, target []byte, h0 int, sc Scoring, w int) (ExtendResult, BandBoundary) {
-	return ExtendBandedOpts(query, target, h0, sc, w, Options{})
-}
-
-// ExtendBandedOpts is ExtendBanded with explicit Options.
-func ExtendBandedOpts(query, target []byte, h0 int, sc Scoring, w int, opts Options) (ExtendResult, BandBoundary) {
 	ws := GetWorkspace()
-	r, bd := extendCoreWS(ws, query, target, h0, sc, w, opts, ws.boundaryBuf(len(query)))
+	r, bd := extendCoreWS(ws, query, target, h0, sc, w, Options{}, ws.boundaryBuf(len(query)))
 	out := BandBoundary{E: append([]int(nil), bd.E...)}
 	PutWorkspace(ws)
 	return r, out

@@ -115,11 +115,12 @@ func TestBandedWideEqualsFull(t *testing.T) {
 
 func TestEarlyTerminationIsExact(t *testing.T) {
 	sc := DefaultScoring()
+	ws := NewWorkspace()
 	for seed := int64(0); seed < 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		q, tg, h0 := extensionCase(r)
-		a := ExtendOpts(q, tg, h0, sc, Options{})
-		b := ExtendOpts(q, tg, h0, sc, Options{DisableEarlyTerm: true})
+		a, _ := extendCoreWS(ws, q, tg, h0, sc, -1, Options{}, nil)
+		b, _ := extendCoreWS(ws, q, tg, h0, sc, -1, Options{DisableEarlyTerm: true}, nil)
 		if !sameResult(a, b) {
 			t.Fatalf("seed %d: early-term changed result: %+v vs %+v", seed, a, b)
 		}

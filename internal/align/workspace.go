@@ -169,22 +169,11 @@ func ExtendWS(ws *Workspace, query, target []byte, h0 int, sc Scoring) ExtendRes
 	return r
 }
 
-// ExtendWSOpts is ExtendWS with explicit Options.
-func ExtendWSOpts(ws *Workspace, query, target []byte, h0 int, sc Scoring, opts Options) ExtendResult {
-	r, _ := extendCoreWS(ws, query, target, h0, sc, -1, opts, nil)
-	return r
-}
-
 // ExtendBandedWS runs the banded kernel with caller-owned scratch. The
 // returned BandBoundary.E aliases workspace memory and is valid only until
 // the next extension run on ws; copy it to retain it.
 func ExtendBandedWS(ws *Workspace, query, target []byte, h0 int, sc Scoring, w int) (ExtendResult, BandBoundary) {
 	return extendCoreWS(ws, query, target, h0, sc, w, Options{}, ws.boundaryBuf(len(query)))
-}
-
-// ExtendBandedWSOpts is ExtendBandedWS with explicit Options.
-func ExtendBandedWSOpts(ws *Workspace, query, target []byte, h0 int, sc Scoring, w int, opts Options) (ExtendResult, BandBoundary) {
-	return extendCoreWS(ws, query, target, h0, sc, w, opts, ws.boundaryBuf(len(query)))
 }
 
 // extendCoreWS is the workspace-backed row-streaming kernel: bit-identical

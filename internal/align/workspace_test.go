@@ -62,14 +62,14 @@ func TestWorkspaceKernelEquivalence(t *testing.T) {
 		opts := Options{DisableEarlyTerm: iter%5 == 0}
 		if w < 0 {
 			want, _ := extendCoreRef(q, tg, h0, sc, -1, opts, false)
-			got := ExtendWSOpts(ws, q, tg, h0, sc, opts)
+			got, _ := extendCoreWS(ws, q, tg, h0, sc, -1, opts, nil)
 			if !sameExtendResult(got, want) {
 				t.Fatalf("iter %d full: ws %+v != ref %+v (h0=%d sc=%+v)", iter, got, want, h0, sc)
 			}
 			continue
 		}
 		want, wantBd := extendCoreRef(q, tg, h0, sc, w, opts, true)
-		got, gotBd := ExtendBandedWSOpts(ws, q, tg, h0, sc, w, opts)
+		got, gotBd := extendCoreWS(ws, q, tg, h0, sc, w, opts, ws.boundaryBuf(len(q)))
 		if !sameExtendResult(got, want) {
 			t.Fatalf("iter %d w=%d: ws %+v != ref %+v (h0=%d sc=%+v)", iter, w, got, want, h0, sc)
 		}

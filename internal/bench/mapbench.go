@@ -105,17 +105,17 @@ type MapPoint struct {
 // over a repeat+decoy workload, plus the filter counters and the
 // equivalence sweep that certifies the speedup changed no mapping.
 type PrefilterServeReport struct {
-	Threshold       float64      `json:"threshold"`
-	Band            int          `json:"band"`
-	ReadLen         int          `json:"read_len"`
-	RefLen          int          `json:"ref_len"`
-	Templates       int          `json:"templates"`
-	DecoysPerRead   int          `json:"decoys_per_read"`
-	MaxChains       int          `json:"max_chains"`
-	ReadsPerRequest int          `json:"reads_per_request"`
-	DurationMs      float64      `json:"duration_ms_per_point"`
-	Points          []MapPoint   `json:"points"`
-	Gains           []ServeGain  `json:"gains"`
+	Threshold       float64     `json:"threshold"`
+	Band            int         `json:"band"`
+	ReadLen         int         `json:"read_len"`
+	RefLen          int         `json:"ref_len"`
+	Templates       int         `json:"templates"`
+	DecoysPerRead   int         `json:"decoys_per_read"`
+	MaxChains       int         `json:"max_chains"`
+	ReadsPerRequest int         `json:"reads_per_request"`
+	DurationMs      float64     `json:"duration_ms_per_point"`
+	Points          []MapPoint  `json:"points"`
+	Gains           []ServeGain `json:"gains"`
 	// GainHighConc is filter-on reads/s over filter-off reads/s at the
 	// highest measured concurrency — the tier's headline figure.
 	GainHighConc float64 `json:"throughput_gain_high_concurrency"`

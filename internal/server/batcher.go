@@ -71,7 +71,18 @@ type stealGroup[T any] struct {
 	peers atomic.Pointer[[]*batcher[T]]
 }
 
-func (g *stealGroup[T]) set(peers []*batcher[T]) { g.peers.Store(&peers) }
+// link publishes one lane of every shard as the group's peers. A nil
+// group (single shard) has nothing to link.
+func (g *stealGroup[T]) link(shards []*shard, lane func(*shard) *batcher[T]) {
+	if g == nil {
+		return
+	}
+	peers := make([]*batcher[T], len(shards))
+	for i, sh := range shards {
+		peers[i] = lane(sh)
+	}
+	g.peers.Store(&peers)
+}
 
 // batcher coalesces individually submitted jobs into micro-batches: a
 // collector goroutine assembles batches (size- or deadline-triggered) and
@@ -90,15 +101,13 @@ type batcher[T any] struct {
 	free    chan []T // recycled batch backing arrays
 
 	// binOf, when non-nil, keys each job into one of numBins shape bins
-	// and the collector runs in binned mode (see collectBinned).
+	// (see collectBinned); nil means one bin.
 	binOf   func(T) int
 	numBins int
 
-	// group and self enable bounded work stealing between peer shards'
-	// batchers. A nil group (single shard, or the plain constructors)
-	// keeps the worker loop identical to the unsharded server.
+	// group enables bounded work stealing between peer shards' batchers.
+	// A nil group (single shard) keeps the plain worker loop.
 	group *stealGroup[T]
-	self  int
 
 	collectorDone sync.WaitGroup
 	workersDone   sync.WaitGroup
@@ -108,86 +117,49 @@ type batcher[T any] struct {
 // newBatcher starts the collector and worker pool. work is called once per
 // worker and returns that worker's batch processor — the closure owns the
 // worker's session state (extension scratch, mapper) for its lifetime.
-func newBatcher[T any](cfg BatcherConfig, met *Metrics, work func() func([]T)) *batcher[T] {
-	return newShardBatcher(cfg, met, nil, nil, 0, work)
-}
-
-// newShardBatcher is newBatcher bound to one shard of a sharded server:
-// dispatches are mirrored into the shard's counters, and with a non-nil
-// steal group the workers drain backlogged peers when their own queue is
-// empty.
-func newShardBatcher[T any](cfg BatcherConfig, met *Metrics, sm *shardMetrics, group *stealGroup[T], self int, work func() func([]T)) *batcher[T] {
+//
+// sm, when non-nil, mirrors dispatches into the owning shard's counters;
+// with a non-nil group the workers drain backlogged peers when their own
+// queue is empty. binOf, when non-nil, keys every job into one of numBins
+// shape bins and the collector packs batches bin-first, so jobs of like
+// kernel shape share a batch (and therefore SWAR lane groups) even when
+// they arrived interleaved with other shapes; a nil binOf collects into a
+// single bin. The deadline trigger bounds every job's wait to one
+// FlushInterval either way.
+func newBatcher[T any](cfg BatcherConfig, met *Metrics, sm *shardMetrics, group *stealGroup[T], numBins int, binOf func(T) int, work func() func([]T)) *batcher[T] {
 	cfg = cfg.withDefaults()
-	b := &batcher[T]{
-		cfg:     cfg,
-		met:     met,
-		sm:      sm,
-		group:   group,
-		self:    self,
-		in:      make(chan T, cfg.QueueCap),
-		batches: make(chan []T, cfg.Workers),
-		free:    make(chan []T, cfg.Workers*2),
+	if binOf == nil {
+		numBins = 1
 	}
-	b.start(work)
-	return b
-}
-
-// newBinnedBatcher is newBatcher with shape-aware collection: binOf keys
-// every job into one of numBins bins, and the collector packs batches
-// bin-first, so jobs of like kernel shape share a batch (and therefore
-// SWAR lane groups) even when they arrived interleaved with other shapes.
-// The deadline trigger still bounds every job's wait to one FlushInterval.
-func newBinnedBatcher[T any](cfg BatcherConfig, met *Metrics, numBins int, binOf func(T) int, work func() func([]T)) *batcher[T] {
-	return newShardBinnedBatcher(cfg, met, nil, nil, 0, numBins, binOf, work)
-}
-
-// newShardBinnedBatcher is newBinnedBatcher with the shard hooks of
-// newShardBatcher.
-func newShardBinnedBatcher[T any](cfg BatcherConfig, met *Metrics, sm *shardMetrics, group *stealGroup[T], self int, numBins int, binOf func(T) int, work func() func([]T)) *batcher[T] {
-	cfg = cfg.withDefaults()
 	b := &batcher[T]{
 		cfg:     cfg,
 		met:     met,
 		sm:      sm,
 		group:   group,
-		self:    self,
 		in:      make(chan T, cfg.QueueCap),
 		batches: make(chan []T, cfg.Workers),
 		free:    make(chan []T, cfg.Workers*2+numBins),
 		binOf:   binOf,
 		numBins: numBins,
 	}
-	b.start(work)
-	return b
-}
-
-func (b *batcher[T]) start(work func() func([]T)) {
 	b.collectorDone.Add(1)
-	if b.binOf != nil {
-		go b.collectBinned()
-	} else {
-		go b.collect()
-	}
-	for w := 0; w < b.cfg.Workers; w++ {
+	go b.collectBinned()
+	for w := 0; w < cfg.Workers; w++ {
 		b.workersDone.Add(1)
 		go func() {
 			defer b.workersDone.Done()
 			proc := work()
 			if b.group == nil {
-				// Unsharded (or single-shard) path: identical to the
-				// pre-sharding worker loop.
+				// Unsharded (or single-shard) path: no peers to scan.
 				for batch := range b.batches {
-					proc(batch)
-					select {
-					case b.free <- batch[:0]:
-					default:
-					}
+					b.runBatch(proc, batch)
 				}
 				return
 			}
 			b.stealLoop(proc)
 		}()
 	}
+	return b
 }
 
 // stealPoll bounds how long an idle worker waits on its own (empty)
@@ -260,7 +232,7 @@ func (b *batcher[T]) trySteal(proc func([]T)) bool {
 	peers := *peersp
 	victim, backlog := -1, 0
 	for i, p := range peers {
-		if i == b.self || p == nil {
+		if p == b || p == nil {
 			continue
 		}
 		if d := len(p.batches); d > backlog {
@@ -330,68 +302,10 @@ func (b *batcher[T]) Close() {
 	})
 }
 
-// collect assembles micro-batches: block for the first job, then fill
-// until the size trigger (MaxBatch), the deadline trigger (FlushInterval
-// after the first job), or queue closure.
-func (b *batcher[T]) collect() {
-	defer b.collectorDone.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	for {
-		first, ok := <-b.in
-		if !ok {
-			return
-		}
-		batch := b.getBatch()
-		batch = append(batch, first)
-		open := true
-		if b.cfg.FlushInterval > 0 {
-			timer.Reset(b.cfg.FlushInterval)
-			fired := false
-			for open && !fired && len(batch) < b.cfg.MaxBatch {
-				select {
-				case job, more := <-b.in:
-					if !more {
-						open = false
-						break
-					}
-					batch = append(batch, job)
-				case <-timer.C:
-					fired = true
-				}
-			}
-			if !fired && !timer.Stop() {
-				<-timer.C
-			}
-		} else {
-			// Opportunistic mode: drain whatever is queued, never wait.
-		greedy:
-			for len(batch) < b.cfg.MaxBatch {
-				select {
-				case job, more := <-b.in:
-					if !more {
-						open = false
-						break greedy
-					}
-					batch = append(batch, job)
-				default:
-					break greedy
-				}
-			}
-		}
-		b.dispatch(batch)
-		if !open {
-			return
-		}
-	}
-}
-
-// collectBinned is the shape-aware collector: pending jobs accumulate in
-// per-bin slices keyed by binOf, so every dispatch is as shape-homogeneous
-// as the arrival mix allows. Three triggers flush work:
+// collectBinned is the collector of every lane: pending jobs accumulate
+// in per-bin slices keyed by binOf, so every dispatch is as
+// shape-homogeneous as the arrival mix allows (an unbinned lane keeps one
+// bin). Three triggers flush work:
 //
 //   - a bin reaching MaxBatch dispatches that bin alone (a perfectly
 //     homogeneous batch);
@@ -402,8 +316,9 @@ func (b *batcher[T]) collect() {
 //     flushes everything, concatenated in bin order into MaxBatch-sized
 //     batches — still bin-sorted, so lane groups stay dense.
 //
-// Every job therefore waits at most one FlushInterval, the same bound the
-// plain collector gives.
+// Every job therefore waits at most one FlushInterval. With one bin the
+// first two triggers reduce to the plain size trigger, so an unbinned
+// lane flushes at MaxBatch jobs or one FlushInterval after its first job.
 func (b *batcher[T]) collectBinned() {
 	defer b.collectorDone.Done()
 	timer := time.NewTimer(time.Hour)
@@ -430,32 +345,41 @@ func (b *batcher[T]) collectBinned() {
 		return best
 	}
 	flushAll := func() {
-		out := b.getBatch()
-		for k := range bins {
-			if bins[k] == nil {
+		// The first non-empty bin becomes the output batch as is, so a
+		// single-bin collector dispatches without copying.
+		var out []T
+		for k, bin := range bins {
+			if bin == nil {
 				continue
 			}
-			for _, job := range bins[k] {
+			bins[k] = nil
+			if out == nil {
+				out = bin
+				continue
+			}
+			for _, job := range bin {
 				out = append(out, job)
 				if len(out) == b.cfg.MaxBatch {
 					b.dispatch(out)
 					out = b.getBatch()
 				}
 			}
-			b.putBatch(bins[k][:0])
-			bins[k] = nil
+			b.putBatch(bin[:0])
 		}
 		if len(out) > 0 {
 			b.dispatch(out)
-		} else {
+		} else if out != nil {
 			b.putBatch(out)
 		}
 		total = 0
 	}
 	add := func(job T) {
-		k := b.binOf(job)
-		if k < 0 || k >= len(bins) {
-			k = len(bins) - 1
+		k := 0
+		if b.binOf != nil {
+			k = b.binOf(job)
+			if k < 0 || k >= len(bins) {
+				k = len(bins) - 1
+			}
 		}
 		if bins[k] == nil {
 			bins[k] = b.getBatch()

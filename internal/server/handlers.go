@@ -159,25 +159,6 @@ func (s *Server) admitError(w http.ResponseWriter, rid string, err error) int {
 	}
 }
 
-// decodeBody parses one JSON request body, bounded by MaxBodyBytes so an
-// oversized (or oversized-malformed) body is refused with 413 instead of
-// being allocated whole before validation. It writes the error reply
-// itself and reports whether decoding succeeded.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, rid string, v any) (bool, int) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		s.met.BadInput.Add(1)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, rid, "request body larger than %d bytes", tooBig.Limit)
-			return false, http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, http.StatusBadRequest, rid, "bad request body: %v", err)
-		return false, http.StatusBadRequest
-	}
-	return true, http.StatusOK
-}
-
 // requestContext applies the request's JSON deadline to its context.
 func requestContext(r *http.Request, deadlineMs int) (context.Context, context.CancelFunc) {
 	if deadlineMs > 0 {
@@ -212,105 +193,163 @@ func wireResult(r core.Response) ExtendResult {
 	}
 }
 
-// handleExtend runs one JSON batch of extension jobs through the
-// micro-batcher. Independent requests coalesce into shared device
-// batches; each request waits only for its own jobs.
-func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	start := time.Now()
-	rid, ridStr := requestID(w, r)
-	tr := s.trace.Sample(rid)
-	status, njobs := http.StatusOK, 0
-	defer func() {
-		s.countFailure(status)
-		s.trace.RequestDone(tr, rid, start, time.Since(start), int64(njobs), int64(status))
-	}()
-	if s.draining.Load() {
-		s.met.Draining.Add(1)
-		status = http.StatusServiceUnavailable
-		s.writeError(w, status, ridStr, "server is draining")
-		return
-	}
-	var req ExtendRequest
-	if ok, st := s.decodeBody(w, r, ridStr, &req); !ok {
-		status = st
-		return
-	}
-	njobs = len(req.Jobs)
-	if len(req.Jobs) == 0 || len(req.Jobs) > s.cfg.MaxJobsPerRequest {
-		s.met.BadInput.Add(1)
-		status = http.StatusBadRequest
-		s.writeError(w, status, ridStr, "jobs must hold 1..%d entries", s.cfg.MaxJobsPerRequest)
-		return
-	}
-	for i, j := range req.Jobs {
-		if err := s.validateJob(j); err != nil {
-			s.met.BadInput.Add(1)
-			status = http.StatusBadRequest
-			s.writeError(w, status, ridStr, "job %d: %v", i, err)
-			return
-		}
-	}
-	ctx, cancel := requestContext(r, req.DeadlineMs)
-	defer cancel()
+// batchCall is one /v1/extend or /v1/map request in the skeleton both
+// handlers share: beginCall counts it, the deferred end records its
+// status and item count, decode applies the drain check and the bounded
+// body decode, and serveJobs admits its jobs and waits for their results.
+type batchCall struct {
+	s      *Server
+	w      http.ResponseWriter
+	r      *http.Request
+	rid    uint64
+	ridStr string
+	tr     obs.Ref
+	start  time.Time
+	status int
+	n      int // jobs or reads in the decoded body
+}
 
-	p := newPending(len(req.Jobs))
-	// One routing decision per request: all its jobs share a shard (and so
-	// a flush deadline), keyed by the first job's reference region. A full
-	// shard queue fails individual jobs over to peers inside submitExt.
-	sh := s.router.pick(routeKey(req.Jobs[0].Target))
-	var admit error
-	submitted := 0
-	for i, j := range req.Jobs {
-		job := extJob{
-			ctx: ctx,
-			req: core.Request{Q: genome.Encode(j.Query), T: genome.Encode(j.Target), H0: j.H0, Tag: i},
-			out: p,
-			tr:  tr,
-			enq: time.Now(),
+func (s *Server) beginCall(w http.ResponseWriter, r *http.Request) *batchCall {
+	s.met.Requests.Add(1)
+	c := &batchCall{s: s, w: w, r: r, start: time.Now(), status: http.StatusOK}
+	c.rid, c.ridStr = requestID(w, r)
+	c.tr = s.trace.Sample(c.rid)
+	return c
+}
+
+func (c *batchCall) end() {
+	c.s.countFailure(c.status)
+	c.s.trace.RequestDone(c.tr, c.rid, c.start, time.Since(c.start), int64(c.n), int64(c.status))
+}
+
+func (c *batchCall) fail(status int, format string, args ...any) {
+	c.status = status
+	c.s.writeError(c.w, status, c.ridStr, format, args...)
+}
+
+// reject answers 400: the client sent input the service cannot take.
+func (c *batchCall) reject(format string, args ...any) {
+	c.s.met.BadInput.Add(1)
+	c.fail(http.StatusBadRequest, format, args...)
+}
+
+// decode refuses work while draining, then parses the JSON body into v,
+// bounded by MaxBodyBytes so an oversized (or oversized-malformed) body
+// is refused with 413 instead of being allocated whole before validation.
+func (c *batchCall) decode(v any) bool {
+	if c.s.draining.Load() {
+		c.s.met.Draining.Add(1)
+		c.fail(http.StatusServiceUnavailable, "server is draining")
+		return false
+	}
+	c.r.Body = http.MaxBytesReader(c.w, c.r.Body, c.s.cfg.MaxBodyBytes)
+	if err := json.NewDecoder(c.r.Body).Decode(v); err != nil {
+		c.s.met.BadInput.Add(1)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			c.fail(http.StatusRequestEntityTooLarge, "request body larger than %d bytes", tooBig.Limit)
+		} else {
+			c.fail(http.StatusBadRequest, "bad request body: %v", err)
 		}
-		if err := s.router.submitExt(sh, job); err != nil {
-			admit = err
-			break
+		return false
+	}
+	return true
+}
+
+// sized records the body's item count and bounds it to
+// 1..MaxJobsPerRequest.
+func (c *batchCall) sized(n int, noun string) bool {
+	c.n = n
+	if n == 0 || n > c.s.cfg.MaxJobsPerRequest {
+		c.reject("%s must hold 1..%d entries", noun, c.s.cfg.MaxJobsPerRequest)
+		return false
+	}
+	return true
+}
+
+// reply answers 200 and records the request's service time.
+func (c *batchCall) reply(v any) {
+	c.s.met.observeLatency(time.Since(c.start))
+	writeJSON(c.w, http.StatusOK, v)
+}
+
+// serveJobs admits a validated request's n jobs to lane, building job
+// i's payload just before its submit, and waits for their results. One
+// routing decision covers the request: all its jobs share a shard (and
+// so a flush deadline), keyed by region, and a full shard queue fails
+// individual jobs over to peers inside submit. Jobs from one request may
+// complete across several batches; the pending reassembles them. On
+// failure serveJobs has answered the request itself.
+func serveJobs[P, R any](c *batchCall, lane func(*shard) *batcher[job[P, R]], region string, deadlineMs int, noun string, n int, payload func(i int) P) ([]R, bool) {
+	s := c.s
+	ctx, cancel := requestContext(c.r, deadlineMs)
+	defer cancel()
+	p := newPending[R](n)
+	sh := pick(s.router, routeKey(region), lane)
+	for i := 0; i < n; i++ {
+		j := job[P, R]{ctx: ctx, slot: i, out: p, tr: c.tr, enq: time.Now(), in: payload(i)}
+		if err := submit(s.router, sh, lane, j); err != nil {
+			// Refuse the request as a whole: partial results are never
+			// served. Jobs already in flight still write into p, so wait
+			// them out; abandon closes done itself if they all landed
+			// before it ran.
+			if i > 0 {
+				p.abandon(i, n)
+				<-p.done
+			}
+			c.status = s.admitError(c.w, c.ridStr, err)
+			return nil, false
 		}
 		s.met.Accepted.Add(1)
-		submitted++
-	}
-	if admit != nil {
-		// Refuse the request as a whole: partial results are never served.
-		// Jobs already in flight still write into p, so wait them out;
-		// abandon closes done itself if they all landed before it ran.
-		if submitted > 0 {
-			p.abandon(submitted, len(req.Jobs))
-			<-p.done
-		}
-		status = s.admitError(w, ridStr, admit)
-		return
 	}
 	select {
 	case <-p.done:
 		// Expired jobs resolve as zero-valued placeholders; when the
 		// deadline and the last delivery race, this arm can win over
 		// ctx.Done(). Never serve those zeros as 200.
-		if n := p.expired.Load(); n > 0 {
-			status = http.StatusGatewayTimeout
-			s.writeError(w, status, ridStr, "deadline exceeded: %d of %d jobs expired before compute", n, len(req.Jobs))
-			return
+		if expired := p.expired.Load(); expired > 0 {
+			c.fail(http.StatusGatewayTimeout, "deadline exceeded: %d of %d %s expired before compute", expired, n, noun)
+			return nil, false
 		}
 	case <-ctx.Done():
 		// Jobs are still in flight: workers may yet write spans, so the
 		// journey buffer must not be recycled for another request.
-		tr.Detach()
-		status = http.StatusGatewayTimeout
-		s.writeError(w, status, ridStr, "deadline exceeded with jobs in flight")
+		c.tr.Detach()
+		c.fail(http.StatusGatewayTimeout, "deadline exceeded with %s in flight", noun)
+		return nil, false
+	}
+	return p.res, true
+}
+
+// handleExtend runs one JSON batch of extension jobs through the
+// micro-batcher. Independent requests coalesce into shared device
+// batches; each request waits only for its own jobs.
+func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
+	c := s.beginCall(w, r)
+	defer c.end()
+	var req ExtendRequest
+	if !c.decode(&req) || !c.sized(len(req.Jobs), "jobs") {
 		return
 	}
-	resp := ExtendResponse{Results: make([]ExtendResult, len(p.resp))}
-	for i, r := range p.resp {
+	for i, j := range req.Jobs {
+		if err := s.validateJob(j); err != nil {
+			c.reject("job %d: %v", i, err)
+			return
+		}
+	}
+	// The first job's target stands in for the request's reference region.
+	res, ok := serveJobs(c, extLane, req.Jobs[0].Target, req.DeadlineMs, "jobs", len(req.Jobs), func(i int) core.Request {
+		j := req.Jobs[i]
+		return core.Request{Q: genome.Encode(j.Query), T: genome.Encode(j.Target), H0: j.H0, Tag: i}
+	})
+	if !ok {
+		return
+	}
+	resp := ExtendResponse{Results: make([]ExtendResult, len(res))}
+	for i, r := range res {
 		resp.Results[i] = wireResult(r)
 	}
-	s.met.observeLatency(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
+	c.reply(resp)
 }
 
 // handleExtendStream is the pipelined NDJSON form: one ExtendJob per
@@ -349,7 +388,7 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 
 	// window holds the pendings of submitted jobs in input order.
 	const streamWindow = 256
-	window := make(chan *pending, streamWindow)
+	window := make(chan *pending[core.Response], streamWindow)
 	errs := make(chan error, 1)
 	// orphaned: the reader returned with a submitted job it never handed
 	// to the drain loop (context cancelled mid-stream). Set before the
@@ -378,13 +417,13 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			p := newPending(1)
+			p := newPending[core.Response](1)
 			job := extJob{
 				ctx: ctx,
-				req: core.Request{Q: genome.Encode(j.Query), T: genome.Encode(j.Target), H0: j.H0},
 				out: p,
 				tr:  tr,
 				enq: time.Now(),
+				in:  core.Request{Q: genome.Encode(j.Query), T: genome.Encode(j.Target), H0: j.H0},
 			}
 			// Streamed jobs route individually: a long stream spreads over
 			// the pool under load-based policies, and sticks to its region's
@@ -423,7 +462,7 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 			tr.Detach()
 			return
 		}
-		if err := enc.Encode(wireResult(p.resp[0])); err != nil {
+		if err := enc.Encode(wireResult(p.res[0])); err != nil {
 			tr.Detach()
 			return
 		}
@@ -444,100 +483,38 @@ func (s *Server) handleExtendStream(w http.ResponseWriter, r *http.Request) {
 
 // handleMap runs one JSON batch of reads through the mapping pipeline.
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	start := time.Now()
-	rid, ridStr := requestID(w, r)
-	tr := s.trace.Sample(rid)
-	status, nreads := http.StatusOK, 0
-	defer func() {
-		s.countFailure(status)
-		s.trace.RequestDone(tr, rid, start, time.Since(start), int64(nreads), int64(status))
-	}()
+	c := s.beginCall(w, r)
+	defer c.end()
 	if !s.mapEnabled() {
-		status = http.StatusNotImplemented
-		s.writeError(w, status, ridStr, "mapping endpoint disabled: server started without a reference")
-		return
-	}
-	if s.draining.Load() {
-		s.met.Draining.Add(1)
-		status = http.StatusServiceUnavailable
-		s.writeError(w, status, ridStr, "server is draining")
+		c.fail(http.StatusNotImplemented, "mapping endpoint disabled: server started without a reference")
 		return
 	}
 	var req MapRequest
-	if ok, st := s.decodeBody(w, r, ridStr, &req); !ok {
-		status = st
-		return
-	}
-	nreads = len(req.Reads)
-	if len(req.Reads) == 0 || len(req.Reads) > s.cfg.MaxJobsPerRequest {
-		s.met.BadInput.Add(1)
-		status = http.StatusBadRequest
-		s.writeError(w, status, ridStr, "reads must hold 1..%d entries", s.cfg.MaxJobsPerRequest)
+	if !c.decode(&req) || !c.sized(len(req.Reads), "reads") {
 		return
 	}
 	for i, rd := range req.Reads {
 		if rd.Seq == "" || len(rd.Seq) > s.cfg.MaxSeqLen {
-			s.met.BadInput.Add(1)
-			status = http.StatusBadRequest
-			s.writeError(w, status, ridStr, "read %d: seq must hold 1..%d bases", i, s.cfg.MaxSeqLen)
+			c.reject("read %d: seq must hold 1..%d bases", i, s.cfg.MaxSeqLen)
 			return
 		}
 		if rd.Qual != "" && len(rd.Qual) != len(rd.Seq) {
-			s.met.BadInput.Add(1)
-			status = http.StatusBadRequest
-			s.writeError(w, status, ridStr, "read %d: qual length %d != seq length %d", i, len(rd.Qual), len(rd.Seq))
+			c.reject("read %d: qual length %d != seq length %d", i, len(rd.Qual), len(rd.Seq))
 			return
 		}
 	}
-	ctx, cancel := requestContext(r, req.DeadlineMs)
-	defer cancel()
-
-	p := newMapPending(len(req.Reads))
-	// Mapping requests route like extension requests: one decision per
-	// request, keyed by the first read (the read sequence stands in for
-	// the region it will map to).
-	sh := s.router.pick(routeKey(req.Reads[0].Seq))
-	var admit error
-	submitted := 0
-	for i, rd := range req.Reads {
-		var qual []byte
+	// The first read stands in for the region the request will map to.
+	res, ok := serveJobs(c, mapLane, req.Reads[0].Seq, req.DeadlineMs, "reads", len(req.Reads), func(i int) mapRead {
+		rd := req.Reads[i]
+		m := mapRead{name: rd.Name, seq: genome.Encode(rd.Seq)}
 		if rd.Qual != "" {
-			qual = []byte(rd.Qual)
+			m.qual = []byte(rd.Qual)
 		}
-		job := mapJob{ctx: ctx, name: rd.Name, seq: genome.Encode(rd.Seq), qual: qual, out: p, tr: tr, i: i, enq: time.Now()}
-		if err := s.router.submitMap(sh, job); err != nil {
-			admit = err
-			break
-		}
-		s.met.Accepted.Add(1)
-		submitted++
+		return m
+	})
+	if ok {
+		c.reply(MapResponse{Results: res})
 	}
-	if admit != nil {
-		// Mirrors handleExtend: wait out in-flight reads, with abandon
-		// closing done when they all landed before the adjustment.
-		if submitted > 0 {
-			p.abandon(submitted, len(req.Reads))
-			<-p.done
-		}
-		status = s.admitError(w, ridStr, admit)
-		return
-	}
-	select {
-	case <-p.done:
-		if n := p.expired.Load(); n > 0 {
-			status = http.StatusGatewayTimeout
-			s.writeError(w, status, ridStr, "deadline exceeded: %d of %d reads expired before compute", n, len(req.Reads))
-			return
-		}
-	case <-ctx.Done():
-		tr.Detach()
-		status = http.StatusGatewayTimeout
-		s.writeError(w, status, ridStr, "deadline exceeded with reads in flight")
-		return
-	}
-	s.met.observeLatency(time.Since(start))
-	writeJSON(w, http.StatusOK, MapResponse{Results: p.res})
 }
 
 // metricsBody is the /metrics document: the operational counters plus the
@@ -605,7 +582,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // buildMetricsBody assembles the /metrics JSON document (shared with the
 // flight recorder's metrics.json).
 func (s *Server) buildMetricsBody() metricsBody {
-	extDepth, extCap := s.extQueue()
+	extDepth, extCap := queueTotals(s.shards, extLane)
 	body := metricsBody{
 		MetricsSnapshot: s.met.Snapshot(extDepth, extCap),
 		UptimeSec:       time.Since(s.started).Seconds(),
@@ -649,7 +626,7 @@ func (s *Server) buildMetricsBody() metricsBody {
 		body.Faults = &h
 	}
 	if s.mapEnabled() {
-		depth, capacity := s.mapQueue()
+		depth, capacity := queueTotals(s.shards, mapLane)
 		body.MapQueue = &queueBody{Depth: depth, Cap: capacity}
 	}
 	if s.cfg.RefStore != nil {

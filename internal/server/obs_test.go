@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -607,18 +606,19 @@ func TestExtWorkerZeroAlloc(t *testing.T) {
 			// A pending that never completes: remaining stays far above
 			// zero, so deliver never closes done and the batch can be
 			// replayed indefinitely.
-			p := &pending{resp: make([]core.Response, len(probs)), done: make(chan struct{})}
+			p := &pending[core.Response]{res: make([]core.Response, len(probs)), done: make(chan struct{})}
 			p.remaining.Store(1 << 30)
 			ref := tc.tracer.Sample(1)
 			batch := make([]extJob, len(probs))
 			for i, j := range probs {
 				batch[i] = extJob{
-					ctx: context.Background(),
-					req: core.Request{Q: []byte(j.Query), T: []byte(j.Target), H0: j.H0, Tag: i},
-					out: p,
-					sh:  s.shards[0],
-					tr:  ref,
-					enq: time.Now(),
+					ctx:  context.Background(),
+					slot: i,
+					out:  p,
+					sh:   s.shards[0],
+					tr:   ref,
+					enq:  time.Now(),
+					in:   core.Request{Q: []byte(j.Query), T: []byte(j.Target), H0: j.H0, Tag: i},
 				}
 			}
 			for i := 0; i < 3; i++ { // warm up grow-only scratch
@@ -653,18 +653,19 @@ func BenchmarkExtWorker(b *testing.B) {
 			defer s.Close()
 			worker := s.extWorker(s.shards[0])
 			probs := testProblems(16, 100, 17)
-			p := &pending{resp: make([]core.Response, len(probs)), done: make(chan struct{})}
+			p := &pending[core.Response]{res: make([]core.Response, len(probs)), done: make(chan struct{})}
 			p.remaining.Store(1 << 30)
 			ref := tc.tracer.Sample(1)
 			batch := make([]extJob, len(probs))
 			for i, j := range probs {
 				batch[i] = extJob{
-					ctx: context.Background(),
-					req: core.Request{Q: []byte(j.Query), T: []byte(j.Target), H0: j.H0, Tag: i},
-					out: p,
-					sh:  s.shards[0],
-					tr:  ref,
-					enq: time.Now(),
+					ctx:  context.Background(),
+					slot: i,
+					out:  p,
+					sh:   s.shards[0],
+					tr:   ref,
+					enq:  time.Now(),
+					in:   core.Request{Q: []byte(j.Query), T: []byte(j.Target), H0: j.H0, Tag: i},
 				}
 			}
 			worker(batch)
@@ -676,5 +677,3 @@ func BenchmarkExtWorker(b *testing.B) {
 		})
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt for debug edits

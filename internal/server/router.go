@@ -44,12 +44,6 @@ var policyBuilders = map[string]func(shards int) RoutingPolicy{
 	"hash":         newHashRing,
 }
 
-// RegisterRoutingPolicy adds a named policy to the registry, replacing
-// any previous registration of the same name. Register before New.
-func RegisterRoutingPolicy(name string, build func(shards int) RoutingPolicy) {
-	policyBuilders[name] = build
-}
-
 // RoutingPolicies returns the registered policy names, sorted.
 func RoutingPolicies() []string {
 	out := make([]string, 0, len(policyBuilders))
@@ -206,21 +200,27 @@ func newRouter(shards []*shard, policyName string) (*router, error) {
 	return &router{shards: shards, policy: build(len(shards))}, nil
 }
 
-func shardLoad(sh *shard) ShardLoad {
+// extLane and mapLane select a shard's extension and mapping batchers:
+// the router's decisions read the lane a job is submitted to.
+func extLane(sh *shard) *batcher[extJob] { return sh.ext }
+func mapLane(sh *shard) *batcher[mapJob] { return sh.maps }
+
+func shardLoad[T any](sh *shard, lane func(*shard) *batcher[T]) ShardLoad {
+	b := lane(sh)
 	return ShardLoad{
 		ID:         sh.id,
 		InFlight:   sh.inflight.Load(),
-		QueueDepth: sh.ext.QueueDepth(),
-		MaxBatch:   sh.ext.cfg.MaxBatch,
+		QueueDepth: b.QueueDepth(),
+		MaxBatch:   b.cfg.MaxBatch,
 	}
 }
 
-// pick chooses the shard for one request (or one streamed job). Degraded
-// shards are excluded from the candidate set; if that empties it — every
-// shard is host-only — the full set is used, because host-only shards
-// still serve exact results and refusing the whole pool would turn a slow
-// cluster into a down one.
-func (r *router) pick(key uint64) *shard {
+// pick chooses the shard for one request (or one streamed job) on lane.
+// Degraded shards are excluded from the candidate set; if that empties it
+// — every shard is host-only — the full set is used, because host-only
+// shards still serve exact results and refusing the whole pool would turn
+// a slow cluster into a down one.
+func pick[T any](r *router, key uint64, lane func(*shard) *batcher[T]) *shard {
 	if len(r.shards) == 1 {
 		return r.shards[0]
 	}
@@ -230,11 +230,11 @@ func (r *router) pick(key uint64) *shard {
 			sh.sm.avoided.Add(1)
 			continue
 		}
-		cands = append(cands, shardLoad(sh))
+		cands = append(cands, shardLoad(sh, lane))
 	}
 	if len(cands) == 0 {
 		for _, sh := range r.shards {
-			cands = append(cands, shardLoad(sh))
+			cands = append(cands, shardLoad(sh, lane))
 		}
 	}
 	sh := r.shards[cands[r.policy.Pick(key, cands)].ID]
@@ -242,13 +242,13 @@ func (r *router) pick(key uint64) *shard {
 	return sh
 }
 
-// submitExt submits one extension job to the picked shard, failing over
-// on a full queue: peers are tried healthy-first in ascending backlog
-// order before the client sees 429. Draining is global (Close drains all
+// submit submits one job to the picked shard's lane, failing over on a
+// full queue: peers are tried healthy-first in ascending backlog order
+// before the client sees 429. Draining is global (Close drains all
 // shards), so ErrDraining is surfaced immediately.
-func (r *router) submitExt(sh *shard, job extJob) error {
-	job.sh = sh
-	err := sh.ext.Submit(job)
+func submit[P, R any](r *router, sh *shard, lane func(*shard) *batcher[job[P, R]], j job[P, R]) error {
+	j.sh = sh
+	err := lane(sh).Submit(j)
 	if err == nil {
 		sh.admit()
 		return nil
@@ -257,42 +257,13 @@ func (r *router) submitExt(sh *shard, job extJob) error {
 		return err
 	}
 	sh.sm.rejected.Add(1)
-	for _, alt := range r.failoverOrder(sh) {
-		job.sh = alt
-		switch aerr := alt.ext.Submit(job); {
+	for _, alt := range failoverOrder(r, sh, lane) {
+		j.sh = alt
+		switch aerr := lane(alt).Submit(j); {
 		case aerr == nil:
 			alt.admit()
 			alt.sm.rerouted.Add(1)
-			job.tr.Mark(obs.EvReroute)
-			return nil
-		case errors.Is(aerr, ErrQueueFull):
-			alt.sm.rejected.Add(1)
-		default:
-			return aerr
-		}
-	}
-	return err
-}
-
-// submitMap mirrors submitExt for the mapping pipeline.
-func (r *router) submitMap(sh *shard, job mapJob) error {
-	job.sh = sh
-	err := sh.maps.Submit(job)
-	if err == nil {
-		sh.admit()
-		return nil
-	}
-	if !errors.Is(err, ErrQueueFull) || len(r.shards) == 1 {
-		return err
-	}
-	sh.sm.rejected.Add(1)
-	for _, alt := range r.failoverOrder(sh) {
-		job.sh = alt
-		switch aerr := alt.maps.Submit(job); {
-		case aerr == nil:
-			alt.admit()
-			alt.sm.rerouted.Add(1)
-			job.tr.Mark(obs.EvReroute)
+			j.tr.Mark(obs.EvReroute)
 			return nil
 		case errors.Is(aerr, ErrQueueFull):
 			alt.sm.rejected.Add(1)
@@ -304,10 +275,10 @@ func (r *router) submitMap(sh *shard, job mapJob) error {
 }
 
 // failoverOrder lists the peers of sh, healthy shards before degraded
-// ones and ascending queue depth within each class: overflow lands where
-// it will wait least, and on a degraded shard only when every healthy
-// queue is full too (serving slowly beats rejecting).
-func (r *router) failoverOrder(sh *shard) []*shard {
+// ones and ascending lane queue depth within each class: overflow lands
+// where it will wait least, and on a degraded shard only when every
+// healthy queue is full too (serving slowly beats rejecting).
+func failoverOrder[T any](r *router, sh *shard, lane func(*shard) *batcher[T]) []*shard {
 	type cand struct {
 		sh       *shard
 		degraded bool
@@ -318,7 +289,7 @@ func (r *router) failoverOrder(sh *shard) []*shard {
 		if alt == sh {
 			continue
 		}
-		cands = append(cands, cand{sh: alt, degraded: alt.degraded(), depth: alt.ext.QueueDepth()})
+		cands = append(cands, cand{sh: alt, degraded: alt.degraded(), depth: lane(alt).QueueDepth()})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].degraded != cands[j].degraded {
@@ -333,15 +304,14 @@ func (r *router) failoverOrder(sh *shard) []*shard {
 	return out
 }
 
-// submitWaitExt is submitExt with flow control for streaming clients: a
+// submitWaitExt is submit with flow control for streaming clients: a
 // cluster-wide full queue blocks the stream reader (bounded by the
 // request context) instead of failing the stream — the backpressure a
 // pipelined producer wants. Each retry re-picks, so the stream drains
 // into whichever shard frees up first.
-func (r *router) submitWaitExt(ctx context.Context, key uint64, job extJob) error {
+func (r *router) submitWaitExt(ctx context.Context, key uint64, j extJob) error {
 	for {
-		sh := r.pick(key)
-		err := r.submitExt(sh, job)
+		err := submit(r, pick(r, key, extLane), extLane, j)
 		if err == nil || !errors.Is(err, ErrQueueFull) {
 			return err
 		}

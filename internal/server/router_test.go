@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -119,53 +120,33 @@ func TestUnknownRoutePolicyPanics(t *testing.T) {
 
 // --- Router + shard integration ---------------------------------------------
 
-// gatedShard builds one shard whose single worker blocks on gate, so
-// tests can pin work in the queue deterministically.
-func gatedShard(id int, group *stealGroup[extJob], gate chan struct{}, processed chan extJob) *shard {
-	sh := &shard{id: id, sm: &shardMetrics{}}
-	work := func() func([]extJob) {
-		return func(batch []extJob) {
-			<-gate
-			for _, j := range batch {
-				processed <- j
-			}
-		}
-	}
-	sh.ext = newShardBatcher(BatcherConfig{
-		MaxBatch: 1, FlushInterval: FlushOpportunistic, QueueCap: 2, Workers: 1,
-	}, nil, sh.sm, group, id, work)
-	return sh
+// queueOnly is a lane with an admission queue and no collector, so its
+// depth is exactly what a test submitted to it.
+func queueOnly[T any](maxBatch, capacity int) *batcher[T] {
+	return &batcher[T]{cfg: BatcherConfig{MaxBatch: maxBatch, QueueCap: capacity}, in: make(chan T, capacity)}
 }
 
 // TestRouterFailoverOnFullQueue proves a job refused by its picked
 // shard's full queue lands on a peer (counted as rerouted) instead of
 // surfacing 429.
 func TestRouterFailoverOnFullQueue(t *testing.T) {
-	gate := make(chan struct{})
-	processed := make(chan extJob, 64)
-	sh0 := gatedShard(0, nil, gate, processed) // no steal group: keep its backlog put
-	sh1 := gatedShard(1, nil, gate, processed)
-	defer func() { close(gate); sh0.ext.Close(); sh1.ext.Close() }()
+	sh0 := &shard{id: 0, sm: &shardMetrics{}, ext: queueOnly[extJob](1, 2)}
+	sh1 := &shard{id: 1, sm: &shardMetrics{}, ext: queueOnly[extJob](1, 2)}
 	rt, err := newRouter([]*shard{sh0, sh1}, "least-loaded")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Saturate shard 0: one batch in the worker (blocked on gate), queue
-	// full behind it.
 	job := func(tag int) extJob {
-		p := newPending(64)
-		return extJob{ctx: t.Context(), req: core.Request{Q: []byte{0, 1}, T: []byte{0, 1}, H0: 5, Tag: tag}, out: p, enq: time.Now()}
+		return extJob{ctx: context.Background(), slot: tag, out: newPending[core.Response](64), enq: time.Now(),
+			in: core.Request{Q: []byte{0, 1}, T: []byte{0, 1}, H0: 5, Tag: tag}}
 	}
-	deadline := time.Now().Add(2 * time.Second)
+	// Fill shard 0's queue; nothing drains it.
 	for sh0.ext.Submit(job(0)) == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("shard 0 queue never filled")
-		}
 	}
 
-	if err := rt.submitExt(sh0, job(1)); err != nil {
-		t.Fatalf("submitExt with a free peer returned %v", err)
+	if err := submit(rt, sh0, extLane, job(1)); err != nil {
+		t.Fatalf("submit with a free peer returned %v", err)
 	}
 	if got := sh1.sm.rerouted.Load(); got != 1 {
 		t.Fatalf("shard 1 rerouted counter = %d, want 1", got)
@@ -176,6 +157,81 @@ func TestRouterFailoverOnFullQueue(t *testing.T) {
 	if sh1.inflight.Load() != 1 || sh1.sm.accepted.Load() != 1 {
 		t.Fatalf("failover did not admit on shard 1: inflight=%d accepted=%d",
 			sh1.inflight.Load(), sh1.sm.accepted.Load())
+	}
+}
+
+// recordPolicy is a routing policy that keeps the candidate loads of its
+// last decision and always picks the first candidate.
+type recordPolicy struct{ seen *[]ShardLoad }
+
+func (recordPolicy) Name() string { return "record" }
+
+func (p recordPolicy) Pick(_ uint64, cands []ShardLoad) int {
+	*p.seen = append((*p.seen)[:0], cands...)
+	return 0
+}
+
+// TestRoutingReadsSubmittedLane pins that routing weighs the lane a job
+// is submitted to: the policy's loads and the failover order for a
+// /v1/map job come from the shards' mapping queues, not their extension
+// queues, and the other way round. The two lanes' depths disagree on
+// every shard, so reading the wrong lane shows.
+func TestRoutingReadsSubmittedLane(t *testing.T) {
+	shards := make([]*shard, 3)
+	for i := range shards {
+		shards[i] = &shard{id: i, sm: &shardMetrics{},
+			ext: queueOnly[extJob](64, 8), maps: queueOnly[mapJob](16, 8)}
+	}
+	fill := func(sh *shard, ext, maps int) {
+		for k := 0; k < ext; k++ {
+			if err := sh.ext.Submit(extJob{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < maps; k++ {
+			if err := sh.maps.Submit(mapJob{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Shard 0's mapping queue is full. Shard 1 has the deepest extension
+	// queue but an empty mapping queue; shard 2 the reverse.
+	fill(shards[0], 0, 8)
+	fill(shards[1], 7, 0)
+	fill(shards[2], 0, 6)
+
+	var seen []ShardLoad
+	rt := &router{shards: shards, policy: recordPolicy{&seen}}
+	for _, tc := range []struct {
+		lane     string
+		pick     func() *shard
+		depths   []int
+		maxBatch int
+	}{
+		{"map", func() *shard { return pick(rt, 0, mapLane) }, []int{8, 0, 6}, 16},
+		{"extend", func() *shard { return pick(rt, 0, extLane) }, []int{0, 7, 0}, 64},
+	} {
+		tc.pick()
+		for i, c := range seen {
+			if c.QueueDepth != tc.depths[i] || c.MaxBatch != tc.maxBatch {
+				t.Fatalf("%s pick: shard %d load %+v, want depth %d max batch %d",
+					tc.lane, c.ID, c, tc.depths[i], tc.maxBatch)
+			}
+		}
+	}
+
+	// Failover from shard 0's full mapping queue goes to the emptiest
+	// mapping queue (shard 1), not the emptiest extension queue (shard 2).
+	j := mapJob{ctx: context.Background(), out: newPending[MapResult](1), enq: time.Now()}
+	if err := submit(rt, shards[0], mapLane, j); err != nil {
+		t.Fatalf("map submit with free peers returned %v", err)
+	}
+	if got := shards[1].maps.QueueDepth(); got != 1 || shards[1].sm.rerouted.Load() != 1 {
+		t.Fatalf("shard 1 map queue depth %d rerouted %d, want the failover job",
+			got, shards[1].sm.rerouted.Load())
+	}
+	if got := shards[2].maps.QueueDepth(); got != 6 {
+		t.Fatalf("shard 2 map queue depth %d, want 6 (untouched)", got)
 	}
 }
 
@@ -191,28 +247,25 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 	processed := make(chan int, 8) // the thief reports what it stole
 
 	victim := &shard{id: 0, sm: &shardMetrics{}}
-	victim.ext = newShardBatcher(BatcherConfig{
-		MaxBatch: 1, FlushInterval: FlushOpportunistic, QueueCap: 4, Workers: 1,
-	}, nil, victim.sm, group, 0, func() func([]extJob) {
+	cfg := BatcherConfig{MaxBatch: 1, FlushInterval: FlushOpportunistic, QueueCap: 4, Workers: 1}
+	victim.ext = newBatcher(cfg, nil, victim.sm, group, 1, nil, func() func([]extJob) {
 		return func(batch []extJob) {
-			entered <- batch[0].req.Tag
+			entered <- batch[0].slot
 			<-gate
 		}
 	})
 	thief := &shard{id: 1, sm: &shardMetrics{}}
-	thief.ext = newShardBatcher(BatcherConfig{
-		MaxBatch: 1, FlushInterval: FlushOpportunistic, QueueCap: 4, Workers: 1,
-	}, nil, thief.sm, group, 1, func() func([]extJob) {
+	thief.ext = newBatcher(cfg, nil, thief.sm, group, 1, nil, func() func([]extJob) {
 		return func(batch []extJob) {
-			processed <- batch[0].req.Tag
+			processed <- batch[0].slot
 		}
 	})
 	defer func() { close(gate); victim.ext.Close(); thief.ext.Close() }()
 
 	submit := func(tag int) {
 		t.Helper()
-		j := extJob{ctx: t.Context(), req: core.Request{Q: []byte{0, 1}, T: []byte{0, 1}, H0: 5, Tag: tag},
-			out: newPending(4), sh: victim, enq: time.Now()}
+		j := extJob{ctx: context.Background(), slot: tag, out: newPending[core.Response](4), sh: victim, enq: time.Now(),
+			in: core.Request{Q: []byte{0, 1}, T: []byte{0, 1}, H0: 5, Tag: tag}}
 		if err := victim.ext.Submit(j); err != nil {
 			t.Fatalf("submit tag %d: %v", tag, err)
 		}
@@ -230,7 +283,7 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 		t.Fatal("victim worker never picked up its first batch")
 	}
 	submit(1)
-	group.set([]*batcher[extJob]{victim.ext, thief.ext})
+	group.link([]*shard{victim, thief}, extLane)
 
 	select {
 	case tag := <-processed:
@@ -314,7 +367,7 @@ func TestRouterAvoidsDegradedShard(t *testing.T) {
 	}
 	// ...and with shard 0 loaded, the next decision lands on shard 1.
 	s.shards[0].inflight.Add(1000)
-	if sh := s.router.pick(0); sh != s.shards[1] {
+	if sh := pick(s.router, 0, extLane); sh != s.shards[1] {
 		t.Fatalf("pick with shard 0 loaded chose shard %d, want 1", sh.id)
 	}
 	s.shards[0].inflight.Add(-1000)

@@ -55,9 +55,8 @@ type Config struct {
 	// RoutePolicy names the routing policy for Shards > 1:
 	// "least-loaded" (default; fewest in-flight jobs), "occupancy"
 	// (prefer the shard about to flush a non-full batch), or "hash"
-	// (consistent hashing by reference region). See RegisterRoutingPolicy
-	// for custom policies. New panics on an unknown name — validate
-	// user-supplied names against RoutingPolicies first.
+	// (consistent hashing by reference region). New panics on an unknown
+	// name — validate user-supplied names against RoutingPolicies first.
 	RoutePolicy string
 	// NewExtender, when non-nil, builds shard i's extender, so every
 	// shard gets its own engine (and so its own breaker and fault
@@ -183,14 +182,11 @@ func New(cfg Config) *Server {
 		}
 	}
 	// Steal groups link the per-shard batchers once all exist; with one
-	// shard they stay nil and the worker loops match the unsharded server.
+	// shard they stay nil and the worker loops never look for peers.
 	var extGroup *stealGroup[extJob]
 	var mapGroup *stealGroup[mapJob]
 	if cfg.Shards > 1 {
-		extGroup = &stealGroup[extJob]{}
-		if cfg.Aligner != nil || cfg.RefStore != nil {
-			mapGroup = &stealGroup[mapJob]{}
-		}
+		extGroup, mapGroup = &stealGroup[extJob]{}, &stealGroup[mapJob]{}
 	}
 	seenStats := make(map[*core.Stats]bool)
 	for i := 0; i < cfg.Shards; i++ {
@@ -215,40 +211,26 @@ func New(cfg Config) *Server {
 		} else if h, ok := ext.(interface{ Health() faults.Health }); ok {
 			sh.health = h.Health
 		}
-		extWork := func() func([]extJob) { return s.extWorker(sh) }
 		// Extension batching is shape-binned when the extender's scoring is
 		// discoverable: jobs of like SWAR tier and length class coalesce into
 		// the same micro-batch, so the packed kernels see dense lane groups
 		// even under interleaved mixed-shape traffic (cross-batch scheduling,
 		// paper §V-B).
+		var binOf func(extJob) int
 		if sp, ok := ext.(interface{ KernelScoring() align.Scoring }); ok {
 			sc := sp.KernelScoring()
-			binOf := func(j extJob) int {
-				return align.ShapeBin(len(j.req.Q), len(j.req.T), j.req.H0, sc)
-			}
-			sh.ext = newShardBinnedBatcher(cfg.Batch, s.met, sh.sm, extGroup, i, align.NumShapeBins, binOf, extWork)
-		} else {
-			sh.ext = newShardBatcher(cfg.Batch, s.met, sh.sm, extGroup, i, extWork)
+			binOf = func(j extJob) int { return align.ShapeBin(len(j.in.Q), len(j.in.T), j.in.H0, sc) }
 		}
-		if cfg.Aligner != nil || cfg.RefStore != nil {
-			sh.maps = newShardBatcher(cfg.MapBatch, s.met, sh.sm, mapGroup, i, func() func([]mapJob) { return s.mapWorker(sh) })
+		sh.ext = newBatcher(cfg.Batch, s.met, sh.sm, extGroup, align.NumShapeBins, binOf,
+			func() func([]extJob) { return s.extWorker(sh) })
+		if s.mapEnabled() {
+			sh.maps = newBatcher(cfg.MapBatch, s.met, sh.sm, mapGroup, 1, nil,
+				func() func([]mapJob) { return s.mapWorker(sh) })
 		}
 		s.shards = append(s.shards, sh)
 	}
-	if extGroup != nil {
-		exts := make([]*batcher[extJob], len(s.shards))
-		for i, sh := range s.shards {
-			exts[i] = sh.ext
-		}
-		extGroup.set(exts)
-	}
-	if mapGroup != nil {
-		maps := make([]*batcher[mapJob], len(s.shards))
-		for i, sh := range s.shards {
-			maps[i] = sh.maps
-		}
-		mapGroup.set(maps)
-	}
+	extGroup.link(s.shards, extLane)
+	mapGroup.link(s.shards, mapLane)
 	// The mapping aligner's stats (prefilter counters) merge into the same
 	// snapshot the extender sources feed, unless it shares one of theirs.
 	if cfg.Aligner != nil && cfg.Aligner.Stats != nil && !seenStats[cfg.Aligner.Stats] {
@@ -331,22 +313,13 @@ func (s *Server) ShardSnapshots() []ShardSnapshot {
 	return out
 }
 
-// extQueue sums queue depth and capacity across the shards' extension
-// batchers — the aggregate the pre-sharding /metrics reported.
-func (s *Server) extQueue() (depth, capacity int) {
-	for _, sh := range s.shards {
-		depth += sh.ext.QueueDepth()
-		capacity += sh.ext.QueueCap()
-	}
-	return depth, capacity
-}
-
-// mapQueue mirrors extQueue for the mapping batchers.
-func (s *Server) mapQueue() (depth, capacity int) {
-	for _, sh := range s.shards {
-		if sh.maps != nil {
-			depth += sh.maps.QueueDepth()
-			capacity += sh.maps.QueueCap()
+// queueTotals sums one lane's queue depth and capacity across the shards
+// — the aggregate the pre-sharding /metrics reported.
+func queueTotals[T any](shards []*shard, lane func(*shard) *batcher[T]) (depth, capacity int) {
+	for _, sh := range shards {
+		if b := lane(sh); b != nil {
+			depth += b.QueueDepth()
+			capacity += b.QueueCap()
 		}
 	}
 	return depth, capacity
@@ -420,35 +393,37 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Tracer exposes the span tracer (nil when tracing is disabled).
 func (s *Server) Tracer() *obs.Tracer { return s.trace }
 
-// pending collects one request's extension results as its jobs complete,
-// possibly across several device batches. done closes when the last job
-// lands.
-type pending struct {
-	resp      []core.Response
+// pending collects one request's results as its jobs complete, possibly
+// across several batches: R is core.Response for /v1/extend and
+// MapResult for /v1/map. done closes when the last job lands.
+type pending[R any] struct {
+	res       []R
 	remaining atomic.Int32
 	expired   atomic.Int32
 	done      chan struct{}
 }
 
-func newPending(n int) *pending {
-	p := &pending{resp: make([]core.Response, n), done: make(chan struct{})}
+func newPending[R any](n int) *pending[R] {
+	p := &pending[R]{res: make([]R, n), done: make(chan struct{})}
 	p.remaining.Store(int32(n))
 	return p
 }
 
-func (p *pending) deliver(i int, r core.Response) {
-	p.resp[i] = r
+func (p *pending[R]) deliver(i int, r R) {
+	p.res[i] = r
 	if p.remaining.Add(-1) == 0 {
 		close(p.done)
 	}
 }
 
 // expire completes slot i without computing it: the job's deadline passed
-// (or its client left) before a worker reached it. The zero-valued result
-// must never be served — handlers check expired after done closes.
-func (p *pending) expire(i int) {
+// (or its client left) before a worker reached it. The slot holds the
+// zero R, which is never served — handlers check expired after done
+// closes and answer 504.
+func (p *pending[R]) expire(i int) {
 	p.expired.Add(1)
-	p.deliver(i, core.Response{Tag: i})
+	var zero R
+	p.deliver(i, zero)
 }
 
 // abandon discounts the never-submitted tail of a partially admitted
@@ -458,68 +433,71 @@ func (p *pending) expire(i int) {
 // remains to do so. The close cannot race deliver: the counter crosses
 // zero exactly once across all atomic adds, and whichever add observes
 // zero owns the close.
-func (p *pending) abandon(submitted, total int) {
+func (p *pending[R]) abandon(submitted, total int) {
 	if p.remaining.Add(int32(submitted-total)) == 0 {
 		close(p.done)
 	}
 }
 
-// extJob is one extension queued for micro-batching. sh is the shard
-// that admitted the job (set by the router on submit): its accounting
-// follows the job even when a peer's worker steals the batch.
-type extJob struct {
-	ctx context.Context
-	req core.Request // Tag carries the job's slot in its pending
-	out *pending
-	sh  *shard
-	tr  obs.Ref // sampled trace handle (zero: not sampled)
-	enq time.Time
+// job is one unit of work queued for micro-batching: the header every
+// lane shares plus the lane's payload in. sh is the shard that admitted
+// the job (set by the router on submit): its accounting follows the job
+// even when a peer's worker steals the batch.
+type job[P, R any] struct {
+	ctx  context.Context
+	slot int // the job's index in out
+	out  *pending[R]
+	sh   *shard
+	tr   obs.Ref // sampled trace handle (zero: not sampled)
+	enq  time.Time
+	in   P
 }
 
-// mapJob is one read queued for the mapping pipeline.
-type mapJob struct {
-	ctx  context.Context
+type (
+	extJob = job[core.Request, core.Response]
+	mapJob = job[mapRead, MapResult]
+)
+
+// mapRead is one read's mapping payload.
+type mapRead struct {
 	name string
 	seq  []byte // base codes
 	qual []byte // ASCII qualities or nil
-	out  *mapPending
-	sh   *shard
-	tr   obs.Ref
-	i    int
-	enq  time.Time
 }
 
-// mapPending mirrors pending for mapping results.
-type mapPending struct {
-	res       []MapResult
-	remaining atomic.Int32
-	expired   atomic.Int32
-	done      chan struct{}
-}
-
-func newMapPending(n int) *mapPending {
-	p := &mapPending{res: make([]MapResult, n), done: make(chan struct{})}
-	p.remaining.Store(int32(n))
-	return p
-}
-
-func (p *mapPending) deliver(i int, r MapResult) {
-	p.res[i] = r
-	if p.remaining.Add(-1) == 0 {
-		close(p.done)
+// intake is a worker's first look at a job of the batch it picked up: it
+// records the queue wait, marks a job whose batch was stolen from another
+// shard (v1 = victim shard, v2 = thief shard), and expires the job when
+// its client is gone (deadline or disconnect), skipping the compute but
+// still completing the slot so the request's pending resolves. It reports
+// whether the job is still worth computing.
+func (j *job[P, R]) intake(s *Server, sh *shard, now time.Time, batchLen int) bool {
+	wait := now.Sub(j.enq)
+	s.met.QueueWait.observe(wait.Nanoseconds())
+	j.sh.sm.queueWait.observe(wait.Nanoseconds())
+	j.tr.Span(obs.KindQueueWait, j.enq, wait, int64(batchLen), 0)
+	if j.sh != sh {
+		j.tr.Mark(obs.EvSteal)
+		j.tr.Span(obs.KindSteal, now, 0, int64(j.sh.id), int64(sh.id))
 	}
-}
-
-// expire and abandon mirror pending; see there for the invariants.
-func (p *mapPending) expire(i int, name string) {
-	p.expired.Add(1)
-	p.deliver(i, MapResult{Name: name})
-}
-
-func (p *mapPending) abandon(submitted, total int) {
-	if p.remaining.Add(int32(submitted-total)) == 0 {
-		close(p.done)
+	if j.ctx.Err() != nil {
+		j.expire(s.met)
+		return false
 	}
+	return true
+}
+
+// expire resolves the job without compute.
+func (j *job[P, R]) expire(met *Metrics) {
+	met.Expired.Add(1)
+	j.sh.settleExpired()
+	j.out.expire(j.slot)
+}
+
+// finish delivers the job's computed result.
+func (j *job[P, R]) finish(r R) {
+	j.sh.settleDone()
+	j.out.deliver(j.slot, r)
 }
 
 // batchResponder is the full-verdict batch path: responses carry rerun
@@ -560,22 +538,11 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 	return func(batch []extJob) {
 		now := time.Now()
 		live, reqs = live[:0], reqs[:0]
-		for _, j := range batch {
-			wait := now.Sub(j.enq)
-			s.met.QueueWait.observe(wait.Nanoseconds())
-			j.sh.sm.queueWait.observe(wait.Nanoseconds())
-			j.tr.Span(obs.KindQueueWait, j.enq, wait, int64(len(batch)), 0)
-			if j.ctx.Err() != nil {
-				// The client is gone (deadline or disconnect): skip the
-				// compute, but still complete the job so the request's
-				// pending resolves.
-				s.met.Expired.Add(1)
-				j.sh.settleExpired()
-				j.out.expire(j.req.Tag)
-				continue
+		for i := range batch {
+			if j := &batch[i]; j.intake(s, sh, now, len(batch)) {
+				live = append(live, *j)
+				reqs = append(reqs, j.in)
 			}
-			live = append(live, j)
-			reqs = append(reqs, j.req)
 		}
 		if len(live) == 0 {
 			return
@@ -591,15 +558,6 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 		fDur := now.Sub(fStart)
 		for _, j := range live {
 			j.tr.Span(obs.KindFlush, fStart, fDur, int64(len(batch)), sized)
-		}
-		// A batch whose jobs were admitted by another shard arrived here by
-		// work stealing: flag the event and record where the batch really
-		// ran (v1 = victim shard, v2 = thief shard).
-		if live[0].sh.id != sh.id {
-			for _, j := range live {
-				j.tr.Mark(obs.EvSteal)
-				j.tr.Span(obs.KindSteal, now, 0, int64(j.sh.id), int64(sh.id))
-			}
 		}
 		switch {
 		case chk != nil:
@@ -632,8 +590,7 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 					r.Res = chk.Rerun(reqs[k].Q, reqs[k].T, reqs[k].H0)
 					j.tr.Span(obs.KindRerun, r0, time.Since(r0), int64(rep.Outcome), 1)
 				}
-				j.sh.settleDone()
-				j.out.deliver(j.req.Tag, r)
+				j.finish(r)
 			}
 		case br != nil:
 			// Device-backed engines run the whole workflow (device compute,
@@ -663,8 +620,7 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 				if r.Rerun && r.Outcome == core.OutcomeUnknown {
 					j.tr.Mark(obs.EvFault)
 				}
-				j.sh.settleDone()
-				j.out.deliver(j.req.Tag, r)
+				j.finish(r)
 			}
 		default:
 			jobs = jobs[:0]
@@ -672,32 +628,15 @@ func (s *Server) extWorker(sh *shard) func([]extJob) {
 				jobs = append(jobs, align.Job{Q: r.Q, T: r.T, H0: r.H0})
 			}
 			k0 := time.Now()
-			results = extendJobsVia(ext, jobs, results[:0])
+			results = align.ExtendJobsVia(ext, jobs, results[:0])
 			kDur := time.Since(k0)
 			for k, j := range live {
 				j.tr.Span(obs.KindKernel, k0, kDur, obs.TierUnknown, int64(len(live)))
-				j.sh.settleDone()
-				j.out.deliver(j.req.Tag, core.Response{Tag: j.req.Tag, Res: results[k], Outcome: core.OutcomeUnknown})
+				j.finish(core.Response{Tag: j.in.Tag, Res: results[k], Outcome: core.OutcomeUnknown})
 			}
 		}
 		s.met.Completed.Add(int64(len(live)))
 	}
-}
-
-// extendJobsVia dispatches through the extender's batch path when it has
-// one, degrading to a scalar loop otherwise.
-func extendJobsVia(ext align.Extender, jobs []align.Job, dst []align.ExtendResult) []align.ExtendResult {
-	if be, ok := ext.(align.BatchExtender); ok {
-		return be.ExtendJobs(jobs, dst)
-	}
-	if cap(dst) < len(jobs) {
-		dst = make([]align.ExtendResult, len(jobs))
-	}
-	dst = dst[:len(jobs)]
-	for i := range jobs {
-		dst[i] = ext.Extend(jobs[i].Q, jobs[i].T, jobs[i].H0)
-	}
-	return dst
 }
 
 // mapWorker returns one mapping worker's batch processor for sh: a
@@ -725,10 +664,8 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 			if g == nil {
 				// The store closed under us (shutdown): resolve the batch
 				// as expired so every pending completes.
-				for _, j := range batch {
-					s.met.Expired.Add(1)
-					j.sh.settleExpired()
-					j.out.expire(j.i, j.name)
+				for i := range batch {
+					batch[i].expire(s.met)
 				}
 				return
 			}
@@ -743,28 +680,16 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 				genID = g.ID()
 			}
 		}
-		if len(batch) > 0 && batch[0].sh.id != sh.id {
-			for _, j := range batch {
-				j.tr.Mark(obs.EvSteal)
-				j.tr.Span(obs.KindSteal, now, 0, int64(j.sh.id), int64(sh.id))
-			}
-		}
-		for _, j := range batch {
+		for i := range batch {
+			j := &batch[i]
 			if reloadOverlap {
 				j.tr.Mark(obs.EvReloadOverlap)
 			}
-			wait := now.Sub(j.enq)
-			s.met.QueueWait.observe(wait.Nanoseconds())
-			j.sh.sm.queueWait.observe(wait.Nanoseconds())
-			j.tr.Span(obs.KindQueueWait, j.enq, wait, int64(len(batch)), 0)
-			if j.ctx.Err() != nil {
-				s.met.Expired.Add(1)
-				j.sh.settleExpired()
-				j.out.expire(j.i, j.name)
+			if !j.intake(s, sh, now, len(batch)) {
 				continue
 			}
 			k0 := time.Now()
-			rec, al := m.Map(j.name, j.seq, j.qual)
+			rec, al := m.Map(j.in.name, j.in.seq, j.in.qual)
 			kDur := time.Since(k0)
 			// The map kernel span links the index generation it computed
 			// against (negated, so generation links can never collide with
@@ -780,9 +705,8 @@ func (s *Server) mapWorker(sh *shard) func([]mapJob) {
 				j.tr.Span(obs.KindRescue, k0.Add(kDur), 0,
 					int64(al.PrefilterRescued), int64(al.RescueRounds))
 			}
-			j.sh.settleDone()
-			j.out.deliver(j.i, MapResult{
-				Name:   j.name,
+			j.finish(MapResult{
+				Name:   j.in.name,
 				Mapped: al.Mapped,
 				RName:  rec.RName,
 				Pos:    rec.Pos,

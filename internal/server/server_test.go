@@ -57,6 +57,18 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// testAligner builds a mapping aligner over a small simulated reference,
+// for tests that need /v1/map enabled but not a realistic genome.
+func testAligner(t *testing.T) *bwamem.Aligner {
+	t.Helper()
+	ref := genome.Simulate(genome.SimConfig{Length: 5_000}, rand.New(rand.NewSource(21)))
+	a, err := bwamem.New("chrT", ref, core.New(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
 	data, err := json.Marshal(body)
@@ -396,7 +408,7 @@ func TestDeadline504(t *testing.T) {
 // — this deadlocked the handler goroutine before.
 func TestAbandonPartialAdmission(t *testing.T) {
 	// The racing order: both submitted jobs land before abandon runs.
-	p := newPending(3)
+	p := newPending[core.Response](3)
 	p.deliver(0, core.Response{})
 	p.deliver(1, core.Response{})
 	p.abandon(2, 3)
@@ -407,7 +419,7 @@ func TestAbandonPartialAdmission(t *testing.T) {
 	}
 
 	// The usual order: abandon first, the last delivery closes done.
-	p = newPending(3)
+	p = newPending[core.Response](3)
 	p.abandon(2, 3)
 	p.deliver(0, core.Response{})
 	select {
@@ -422,9 +434,9 @@ func TestAbandonPartialAdmission(t *testing.T) {
 		t.Fatal("last delivery did not close done")
 	}
 
-	// mapPending mirrors the same arithmetic (expiry counts as delivery).
-	mp := newMapPending(2)
-	mp.expire(0, "r0")
+	// Expiry counts as delivery, and leaves the zero result in its slot.
+	mp := newPending[MapResult](2)
+	mp.expire(0)
 	mp.abandon(1, 2)
 	select {
 	case <-mp.done:
@@ -434,77 +446,115 @@ func TestAbandonPartialAdmission(t *testing.T) {
 	if mp.expired.Load() != 1 {
 		t.Fatalf("map expired = %d, want 1", mp.expired.Load())
 	}
+	if mp.res[0] != (MapResult{}) {
+		t.Fatalf("expired slot holds %+v, want the zero result", mp.res[0])
+	}
 }
 
 // TestExpiredNeverServes200 pins the deadline race: when p.done and
 // ctx.Done() are both ready, whichever select arm wins, a request whose
 // jobs expired in queue must never be answered 200 with zeroed scores.
 // The pre-cancelled context makes every job expire; the opportunistic
-// flush resolves the pending quickly so both arms race.
+// flush resolves the pending quickly so both arms race. Both job
+// endpoints share the wait, so both are driven.
 func TestExpiredNeverServes200(t *testing.T) {
 	s, _ := newTestServer(t, Config{
-		Batch: BatcherConfig{MaxBatch: 4, FlushInterval: FlushOpportunistic, Workers: 1},
+		Aligner: testAligner(t),
+		Batch:   BatcherConfig{MaxBatch: 4, FlushInterval: FlushOpportunistic, Workers: 1},
 	})
-	body, err := json.Marshal(ExtendRequest{Jobs: testProblems(4, 100, 13)})
-	if err != nil {
-		t.Fatal(err)
+	reads := make([]MapRead, 4)
+	for i, p := range testProblems(len(reads), 100, 14) {
+		reads[i] = MapRead{Name: fmt.Sprintf("r%d", i), Seq: p.Query}
 	}
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		req := httptest.NewRequest("POST", "/v1/extend", bytes.NewReader(body)).WithContext(ctx)
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, req)
-		if rec.Code == http.StatusOK {
-			t.Fatalf("attempt %d: served 200 for a request whose jobs all expired:\n%s", i, rec.Body)
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/extend", ExtendRequest{Jobs: testProblems(4, 100, 13)}},
+		{"/v1/map", MapRequest{Reads: reads}},
+	} {
+		body, err := json.Marshal(tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			req := httptest.NewRequest("POST", tc.path, bytes.NewReader(body)).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+			if rec.Code == http.StatusOK {
+				t.Fatalf("%s attempt %d: served 200 for a request whose jobs all expired:\n%s", tc.path, i, rec.Body)
+			}
 		}
 	}
 }
 
-// TestBodyTooLarge pins the request body cap: an oversized body answers
-// 413 instead of being decoded whole.
+// TestBodyTooLarge pins the request body cap on both job endpoints: an
+// oversized body answers 413 instead of being decoded whole.
 func TestBodyTooLarge(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 1 << 10})
-	resp := postJSON(t, ts.URL+"/v1/extend", ExtendRequest{
-		Jobs: []ExtendJob{{Query: strings.Repeat("A", 2048), Target: "ACGT"}},
-	})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
-	}
-	// A body under the cap still validates normally.
-	resp = postJSON(t, ts.URL+"/v1/extend", ExtendRequest{
-		Jobs: []ExtendJob{{Query: "ACGT", Target: "ACGT", H0: 10}},
-	})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("small body: status %d, want 200", resp.StatusCode)
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 1 << 10, Aligner: testAligner(t)})
+	for _, tc := range []struct {
+		path       string
+		big, small any
+	}{
+		{
+			"/v1/extend",
+			ExtendRequest{Jobs: []ExtendJob{{Query: strings.Repeat("A", 2048), Target: "ACGT"}}},
+			ExtendRequest{Jobs: []ExtendJob{{Query: "ACGT", Target: "ACGT", H0: 10}}},
+		},
+		{
+			"/v1/map",
+			MapRequest{Reads: []MapRead{{Name: "r", Seq: strings.Repeat("A", 2048)}}},
+			MapRequest{Reads: []MapRead{{Name: "r", Seq: "ACGTACGTACGTACGTACGT"}}},
+		},
+	} {
+		resp := postJSON(t, ts.URL+tc.path, tc.big)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", tc.path, resp.StatusCode)
+		}
+		// A body under the cap still validates normally.
+		resp = postJSON(t, ts.URL+tc.path, tc.small)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s small body: status %d, want 200", tc.path, resp.StatusCode)
+		}
 	}
 }
 
-// TestBadInput pins the 400 surface.
+// TestBadInput pins the 400 surface of both job endpoints.
 func TestBadInput(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSeqLen: 100})
-	cases := []any{
-		ExtendRequest{}, // no jobs
-		ExtendRequest{Jobs: []ExtendJob{{Query: "ACGT"}}},                                   // empty target
-		ExtendRequest{Jobs: []ExtendJob{{Query: strings.Repeat("A", 200), Target: "ACGT"}}}, // too long
-		ExtendRequest{Jobs: []ExtendJob{{Query: "ACGT", Target: "ACGT", H0: -1}}},           // negative h0
+	_, ts := newTestServer(t, Config{MaxSeqLen: 100, Aligner: testAligner(t)})
+	cases := []struct {
+		path string
+		body any
+	}{
+		{"/v1/extend", ExtendRequest{}},                                                                     // no jobs
+		{"/v1/extend", ExtendRequest{Jobs: []ExtendJob{{Query: "ACGT"}}}},                                   // empty target
+		{"/v1/extend", ExtendRequest{Jobs: []ExtendJob{{Query: strings.Repeat("A", 200), Target: "ACGT"}}}}, // too long
+		{"/v1/extend", ExtendRequest{Jobs: []ExtendJob{{Query: "ACGT", Target: "ACGT", H0: -1}}}},           // negative h0
+		{"/v1/map", MapRequest{}},                                                             // no reads
+		{"/v1/map", MapRequest{Reads: []MapRead{{Name: "r"}}}},                                // empty seq
+		{"/v1/map", MapRequest{Reads: []MapRead{{Name: "r", Seq: strings.Repeat("A", 200)}}}}, // too long
+		{"/v1/map", MapRequest{Reads: []MapRead{{Name: "r", Seq: "ACGTACGT", Qual: "IIII"}}}}, // qual/seq mismatch
 	}
 	for i, c := range cases {
-		resp := postJSON(t, ts.URL+"/v1/extend", c)
+		resp := postJSON(t, ts.URL+c.path, c.body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("case %d: status %d, want 400", i, resp.StatusCode)
+			t.Fatalf("case %d (%s): status %d, want 400", i, c.path, resp.StatusCode)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/extend", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON: status %d, want 400", resp.StatusCode)
+	for _, path := range []string{"/v1/extend", "/v1/map"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{not json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s malformed JSON: status %d, want 400", path, resp.StatusCode)
+		}
 	}
 }
 
