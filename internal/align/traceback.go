@@ -73,22 +73,6 @@ func Traceback(mx *Matrices, sc Scoring, ti, qj int) (Cigar, error) {
 	return c.Reverse(), nil
 }
 
-// TracebackLocal traces the path to the local maximum of res.
-func TracebackLocal(mx *Matrices, sc Scoring, res ExtendResult) (Cigar, error) {
-	if res.Local <= 0 {
-		return nil, nil
-	}
-	return Traceback(mx, sc, res.LocalT, res.LocalQ)
-}
-
-// TracebackGlobal traces the path to the best right-edge cell of res.
-func TracebackGlobal(mx *Matrices, sc Scoring, res ExtendResult) (Cigar, error) {
-	if res.Global <= 0 {
-		return nil, nil
-	}
-	return Traceback(mx, sc, res.GlobalT, mx.Qlen)
-}
-
 // UsedBand measures the band a given extension actually needs: the
 // smallest w for which the banded kernel reproduces the full-width result
 // exactly (scores and positions). This is the "Used" series of the paper's

@@ -14,7 +14,7 @@ func TestTracebackScoreMatchesDP(t *testing.T) {
 		if res.Local <= 0 {
 			continue
 		}
-		cig, err := TracebackLocal(mx, sc, res)
+		cig, err := Traceback(mx, sc, res.LocalT, res.LocalQ)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -25,7 +25,7 @@ func TestTracebackScoreMatchesDP(t *testing.T) {
 			t.Fatalf("seed %d: cigar %s rescored to %d, DP says %d", seed, cig, got, res.Local)
 		}
 		if res.Global > 0 {
-			gc, err := TracebackGlobal(mx, sc, res)
+			gc, err := Traceback(mx, sc, res.GlobalT, len(q))
 			if err != nil {
 				t.Fatalf("seed %d: global: %v", seed, err)
 			}
@@ -43,7 +43,7 @@ func TestTracebackPerfect(t *testing.T) {
 	sc := DefaultScoring()
 	q := []byte{0, 1, 2, 3, 0, 1}
 	res, mx := NaiveExtend(q, q, 10, sc)
-	cig, err := TracebackLocal(mx, sc, res)
+	cig, err := Traceback(mx, sc, res.LocalT, res.LocalQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestTracebackGap(t *testing.T) {
 	tg = append(tg, 2, 2, 2)
 	tg = append(tg, q[6:]...)
 	res, mx := NaiveExtend(q, tg, 30, sc)
-	cig, err := TracebackGlobal(mx, sc, res)
+	cig, err := Traceback(mx, sc, res.GlobalT, len(q))
 	if err != nil {
 		t.Fatal(err)
 	}

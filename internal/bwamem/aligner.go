@@ -755,8 +755,7 @@ func (a *Aligner) buildCigar(read []byte, c candidate) (align.Cigar, error) {
 	var cig align.Cigar
 	cig = cig.Push(align.OpSoft, c.clipL)
 	if c.lQ > 0 {
-		mx := a.traceMatrices(c.lq, c.lt, c.lh0)
-		lc, err := align.Traceback(mx, a.Scoring, c.lT, c.lQ)
+		lc, err := a.traceSide(c.lq, c.lt, c.lh0, c.lQ, c.lT)
 		if err != nil {
 			return nil, err
 		}
@@ -764,8 +763,7 @@ func (a *Aligner) buildCigar(read []byte, c candidate) (align.Cigar, error) {
 	}
 	cig = cig.Push(align.OpMatch, c.anchor.Len)
 	if c.rQ > 0 {
-		mx := a.traceMatrices(c.rq, c.rt, c.rh0)
-		rc, err := align.Traceback(mx, a.Scoring, c.rT, c.rQ)
+		rc, err := a.traceSide(c.rq, c.rt, c.rh0, c.rQ, c.rT)
 		if err != nil {
 			return nil, err
 		}
@@ -778,13 +776,20 @@ func (a *Aligner) buildCigar(read []byte, c candidate) (align.Cigar, error) {
 	return cig, nil
 }
 
-func (a *Aligner) traceMatrices(q, t []byte, h0 int) *align.Matrices {
+// traceSide traces one extension side from its endpoint (qEnd, tEnd)
+// back to the seed. Traceback only walks up and left, and each DP cell
+// depends only on cells up and left of it, so the matrices are built over
+// q[:qEnd] and t[:tEnd] alone: the cells the path can visit. The band
+// test depends only on the diagonal, so the banded trace works the same.
+func (a *Aligner) traceSide(q, t []byte, h0, qEnd, tEnd int) (align.Cigar, error) {
+	q, t = q[:qEnd], t[:tEnd]
+	var mx *align.Matrices
 	if a.Opts.TraceBand >= 0 {
-		_, mx := align.NaiveExtendBanded(q, t, h0, a.Scoring, a.Opts.TraceBand)
-		return mx
+		_, mx = align.NaiveExtendBanded(q, t, h0, a.Scoring, a.Opts.TraceBand)
+	} else {
+		_, mx = align.NaiveExtend(q, t, h0, a.Scoring)
 	}
-	_, mx := align.NaiveExtend(q, t, h0, a.Scoring)
-	return mx
+	return align.Traceback(mx, a.Scoring, tEnd, qEnd)
 }
 
 // mapq is a BWA-flavoured mapping quality: scaled score margin over the

@@ -233,3 +233,72 @@ func TestInstrumentedExtender(t *testing.T) {
 		t.Fatalf("job shape %+v", ie.Jobs()[0])
 	}
 }
+
+// TestTraceSideMatchesFullMatrix: tracing over the submatrix up to the
+// endpoint gives the same CIGAR as tracing over the whole extension
+// problem, for the endpoints resolveSide picks, full-band and banded.
+func TestTraceSideMatchesFullMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	sc := align.DefaultScoring()
+	a := &Aligner{Scoring: sc, Opts: DefaultOptions()}
+	traced := 0
+	for trial := 0; trial < 600; trial++ {
+		tg := make([]byte, 10+rng.Intn(70))
+		for i := range tg {
+			tg[i] = byte(rng.Intn(4))
+		}
+		// The query follows the target with substitutions and indels.
+		var q []byte
+		for i := 0; i < len(tg) && len(q) < len(tg)-rng.Intn(10); i++ {
+			switch r := rng.Intn(30); {
+			case r == 0:
+				q = append(q, byte(rng.Intn(4)), tg[i])
+			case r == 1:
+			case r < 4:
+				q = append(q, byte(rng.Intn(4)))
+			default:
+				q = append(q, tg[i])
+			}
+		}
+		if len(q) == 0 {
+			continue
+		}
+		h0 := 5 + rng.Intn(60)
+		a.Opts.TraceBand = -1
+		if trial%2 == 1 {
+			a.Opts.TraceBand = rng.Intn(12)
+		}
+		var res align.ExtendResult
+		var mx *align.Matrices
+		if a.Opts.TraceBand >= 0 {
+			res, mx = align.NaiveExtendBanded(q, tg, h0, sc, a.Opts.TraceBand)
+		} else {
+			res, mx = align.NaiveExtend(q, tg, h0, sc)
+		}
+		_, _, qEnd, tEnd := resolveSide(res, len(q), h0, a.Opts.ClipPenalty)
+		ends := [][2]int{{qEnd, tEnd}, {res.LocalQ, res.LocalT}}
+		if res.Global > 0 {
+			ends = append(ends, [2]int{len(q), res.GlobalT})
+		}
+		for _, e := range ends {
+			if e[0] == 0 {
+				continue
+			}
+			want, err := align.Traceback(mx, sc, e[1], e[0])
+			if err != nil {
+				t.Fatalf("trial %d: full-matrix trace: %v", trial, err)
+			}
+			got, err := a.traceSide(q, tg, h0, e[0], e[1])
+			if err != nil {
+				t.Fatalf("trial %d band %d end %v: %v", trial, a.Opts.TraceBand, e, err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("trial %d band %d end %v: submatrix cigar %s, full matrix %s", trial, a.Opts.TraceBand, e, got, want)
+			}
+			traced++
+		}
+	}
+	if traced < 1000 {
+		t.Fatalf("only %d endpoints traced", traced)
+	}
+}

@@ -172,40 +172,8 @@ func (ix *Index) Locate(iv Interval, max int) []int {
 	return out
 }
 
-// LongestMatch returns the length of the longest prefix of q that occurs
-// in the text, together with its SA interval over ix.sa (not
-// sentinel-augmented). Zero length means q[0] does not occur.
-func (ix *Index) LongestMatch(q []byte) (int, Interval) {
-	n := len(ix.sa)
-	if n == 0 || len(q) == 0 {
-		return 0, Interval{}
-	}
-	// Insertion point of q among the suffixes.
-	pos := sort.Search(n, func(i int) bool {
-		return compareSuffix(q, ix.text, ix.sa[i]) <= 0
-	})
-	best := 0
-	if pos < n {
-		if l := lcpLen(q, ix.text, ix.sa[pos]); l > best {
-			best = l
-		}
-	}
-	if pos > 0 {
-		if l := lcpLen(q, ix.text, ix.sa[pos-1]); l > best {
-			best = l
-		}
-	}
-	if best == 0 {
-		return 0, Interval{}
-	}
-	p := q[:best]
-	lo := sort.Search(n, func(i int) bool { return compareSuffix(p, ix.text, ix.sa[i]) <= 0 })
-	hi := sort.Search(n, func(i int) bool { return compareSuffix(p, ix.text, ix.sa[i]) < 0 })
-	return best, Interval{int32(lo), int32(hi)}
-}
-
-// LocateRaw returns the text positions of a raw (non-augmented) interval
-// from LongestMatch.
+// LocateRaw returns the text positions of a raw (non-augmented) suffix
+// array interval (at most max, ascending; max <= 0 for all).
 func (ix *Index) LocateRaw(iv Interval, max int) []int {
 	var out []int
 	for r := iv.Lo; r < iv.Hi; r++ {

@@ -91,42 +91,6 @@ func TestCountAndLocateAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestLongestMatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		text := randSeq(rng, 100+rng.Intn(300))
-		ix, err := New(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		beg := rng.Intn(len(text) - 20)
-		q := append([]byte(nil), text[beg:beg+20]...)
-		// Append garbage that (probably) breaks the match.
-		q = append(q, randSeq(rng, 10)...)
-		l, iv := ix.LongestMatch(q)
-		if l < 20 {
-			t.Fatalf("trial %d: longest match %d < 20 for embedded substring", trial, l)
-		}
-		// Verify every reported position really matches.
-		for _, p := range ix.LocateRaw(iv, 0) {
-			if !bytes.Equal(text[p:p+l], q[:l]) {
-				t.Fatalf("trial %d: position %d does not match", trial, p)
-			}
-		}
-		// Brute-force the true longest prefix occurring in text.
-		want := 0
-		for l2 := len(q); l2 >= 1; l2-- {
-			if len(bruteOccurrences(text, q[:l2])) > 0 {
-				want = l2
-				break
-			}
-		}
-		if l != want {
-			t.Fatalf("trial %d: longest match %d, brute force %d", trial, l, want)
-		}
-	}
-}
-
 func TestSMEMsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {

@@ -12,6 +12,9 @@ import "sort"
 func BuildSA(s []byte) []int32 {
 	n := len(s)
 	sa := make([]int32, n)
+	if n == 0 {
+		return sa
+	}
 	rank := make([]int32, n)
 	tmp := make([]int32, n)
 	for i := range sa {
@@ -51,33 +54,42 @@ func BuildSA(s []byte) []int32 {
 	return sa
 }
 
-// lcpLen returns the length of the longest common prefix of q and the
-// suffix s[p:].
-func lcpLen(q, s []byte, p int32) int {
-	n := 0
-	for n < len(q) && int(p)+n < len(s) && q[n] == s[int(p)+n] {
-		n++
-	}
-	return n
-}
-
-// compareSuffix compares q against the suffix s[p:] for prefix matching:
-// 0 when q is a prefix of the suffix, otherwise the sign of the first
-// differing position (a suffix shorter than q compares as smaller).
-func compareSuffix(q, s []byte, p int32) int {
-	i := 0
-	for i < len(q) && int(p)+i < len(s) {
-		a, b := q[i], s[int(p)+i]
-		if a != b {
-			if a < b {
-				return -1
-			}
-			return 1
+// search binary-searches the suffix array for p, with Manber and Myers'
+// LCP acceleration: each comparison starts at the shorter of p's common
+// prefixes with the two current bounds, since every suffix sorted between
+// them shares that prefix. With upper false it returns p's insertion
+// point, the first row whose suffix is not less than p; with upper true,
+// the first row past every suffix that starts with p. lcp is the longest
+// common prefix of p with the suffixes on either side of the returned
+// row; at the insertion point that is the length of the longest prefix of
+// p occurring in the text.
+func (ix *Index) search(p []byte, upper bool) (row, lcp int) {
+	text, sa := ix.text, ix.sa
+	// Virtual bounds: row lo = -1 sorts below p, row hi = len(sa) at or
+	// past it; neither shares a prefix with p.
+	lo, hi := -1, len(sa)
+	lcpLo, lcpHi := 0, 0
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		s := text[sa[mid]:]
+		c := min(lcpLo, lcpHi)
+		for c < len(p) && c < len(s) && p[c] == s[c] {
+			c++
 		}
-		i++
+		var past bool // row mid is at or past the answer
+		switch {
+		case c == len(p): // s starts with p
+			past = !upper
+		case c == len(s): // s is a proper prefix of p, so s < p
+			past = false
+		default:
+			past = p[c] < s[c]
+		}
+		if past {
+			hi, lcpHi = mid, c
+		} else {
+			lo, lcpLo = mid, c
+		}
 	}
-	if i == len(q) {
-		return 0 // q fully matched: the suffix has prefix q
-	}
-	return 1 // suffix exhausted first: suffix < q
+	return hi, max(lcpLo, lcpHi)
 }
